@@ -140,8 +140,7 @@ struct MwBenchResult {
 /// pollute the measurement — the gate is about the update path.
 MwBenchResult RunMwAtShards(const data::Dataset& dataset,
                             const std::vector<convex::CmQuery>& workload,
-                            int num_shards,
-                            core::HypothesisBackend backend) {
+                            int num_shards) {
   erm::NonPrivateOracle oracle;
   core::PmwOptions options;
   options.alpha = 0.02;  // low threshold: the point-mass data fires kTop
@@ -153,7 +152,6 @@ MwBenchResult RunMwAtShards(const data::Dataset& dataset,
   serve::ServeOptions serve_options;
   serve_options.num_threads = kMwThreads;
   serve_options.num_shards = num_shards;
-  serve_options.hypothesis_backend = backend;
   serve::PmwService service(&dataset, &oracle, options, /*seed=*/4321,
                             serve_options);
 
@@ -180,12 +178,9 @@ MwBenchResult RunMwAtShards(const data::Dataset& dataset,
 
 /// The sharded MW-update-path phase; returns the process exit code.
 /// `gate_shards` <= 1 runs the default sweep {1, 2, 4} and gates 4 vs 1.
-/// Under kSparse (exact mode) the artifact is named mw_shards_sparse so
-/// dense baselines are never compared against sparse sweeps; transcript
-/// counters must still agree across shard counts — exact mode is
-/// bit-identical by construction, and this bench runs it hot.
-int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
-               core::HypothesisBackend backend) {
+/// Transcript counters must agree across shard counts — the update is
+/// bit-identical at every K by construction, and this bench runs it hot.
+int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir) {
   data::LabeledHypercubeUniverse universe(kMwDim);
   // Point mass: the uniform initial hypothesis is maximally wrong, so
   // hard rounds fire until the update budget is spent — the MW-heavy
@@ -200,13 +195,10 @@ int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
   Rng rng(77);
   std::vector<convex::CmQuery> workload = family.Generate(kMwQueries, &rng);
 
-  const bool sparse = backend == core::HypothesisBackend::kSparse;
-  const char* backend_name = sparse ? "sparse" : "dense";
   std::printf(
-      "\nMW-update path (domain-sharded, %s backend): |X|=%d, n=%d, "
-      "queries=%d, T=%d, threads=%d\n",
-      backend_name, universe.size(), kRecords, kMwQueries, kMwUpdates,
-      kMwThreads);
+      "\nMW-update path (domain-sharded): |X|=%d, n=%d, queries=%d, T=%d, "
+      "threads=%d\n",
+      universe.size(), kRecords, kMwQueries, kMwUpdates, kMwThreads);
 
   // --shards=K runs {1, K} ({1} alone for K=1: the baseline-only
   // invocation); the default sweep is {1, 2, 4}.
@@ -224,7 +216,7 @@ int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
   bool transcripts_agree = true;
   workload::JsonValue sweep = workload::JsonValue::Array();
   for (int shards : shard_counts) {
-    MwBenchResult result = RunMwAtShards(dataset, workload, shards, backend);
+    MwBenchResult result = RunMwAtShards(dataset, workload, shards);
     if (shards == 1) baseline = result;
     if (shards == shard_counts.back()) gated = result;
     transcripts_agree = transcripts_agree &&
@@ -257,7 +249,7 @@ int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
       "(gate: >= 2x at shards=4)\n",
       top, speedup);
   if (!json_dir.empty()) {
-    const std::string bench_name = sparse ? "mw_shards_sparse" : "mw_shards";
+    const std::string bench_name = "mw_shards";
     workload::JsonValue root =
         workload::JsonValue::Object()
             .Set("bench", workload::JsonValue::Str(bench_name))
@@ -268,8 +260,7 @@ int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
                      .Set("queries", workload::JsonValue::Int(kMwQueries))
                      .Set("override_updates",
                           workload::JsonValue::Int(kMwUpdates))
-                     .Set("threads", workload::JsonValue::Int(kMwThreads))
-                     .Set("backend", workload::JsonValue::Str(backend_name)))
+                     .Set("threads", workload::JsonValue::Int(kMwThreads)))
             .Set("env", workload::JsonValue::Object().Set(
                             "cores", workload::JsonValue::Int(cores)))
             .Set("sweep", std::move(sweep))
@@ -345,12 +336,7 @@ SimdRun RunSimdAt(bool simd_on, const std::vector<double>& base,
   core::ShardedHypothesis hypothesis(1 << kSimdDomainBits);
   WallTimer timer;
   for (const std::vector<double>& payoff : payoffs) {
-    const Status status = hypothesis.MultiplicativeUpdate(payoff, 0.1);
-    if (!status.ok()) {
-      std::fprintf(stderr, "mw update failed: %s\n",
-                   status.ToString().c_str());
-      return run;
-    }
+    hypothesis.MultiplicativeUpdate(payoff, 0.1);
   }
   run.update_ms = timer.ElapsedSeconds() * 1e3;
   run.fingerprint = hypothesis.fingerprint();
@@ -567,16 +553,13 @@ int Main(const std::string& json_dir) {
 int main(int argc, char** argv) {
   // --shards=K runs only the MW-update-path phase at {1, K} (the PR 5
   // gate invocation is `--shards=4`); no argument runs the prepare phase
-  // plus the MW phase on BOTH hypothesis backends (dense and exact-mode
-  // sparse — separate BENCH artifacts, so the nightly trajectory tracks
-  // both). --backend=dense|sparse pins the MW phase to one backend.
+  // plus the MW phase.
   // --simd=on|off runs only the SIMD on/off sweep (BENCH_mw_simd.json);
   // `on` applies the >= 1.3x kernel-loop gate, `off` records without
   // gating. --json-dir=DIR additionally records each phase's sweep as a
   // BENCH_<phase>.json artifact (the nightly perf-trajectory upload).
   int gate_shards = 0;
   std::string json_dir;
-  std::string backend_flag;
   std::string simd_flag;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
@@ -591,12 +574,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --json-dir value: %s\n", argv[i]);
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      backend_flag = argv[i] + 10;
-      if (backend_flag != "dense" && backend_flag != "sparse") {
-        std::fprintf(stderr, "bad --backend value: %s\n", argv[i]);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--simd=", 7) == 0) {
       simd_flag = argv[i] + 7;
       if (simd_flag != "on" && simd_flag != "off") {
@@ -605,31 +582,19 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--shards=K] [--backend=dense|sparse] "
-                   "[--simd=on|off] [--json-dir=DIR]\n",
+                   "usage: %s [--shards=K] [--simd=on|off] [--json-dir=DIR]\n",
                    argv[0]);
       return 2;
     }
   }
   const unsigned cores = std::thread::hardware_concurrency();
-  const pmw::core::HypothesisBackend pinned =
-      backend_flag == "sparse" ? pmw::core::HypothesisBackend::kSparse
-                               : pmw::core::HypothesisBackend::kDense;
   if (!simd_flag.empty()) {
     return pmw::RunSimdPhase(simd_flag == "on", cores, json_dir);
   }
   if (gate_shards > 0) {
-    return pmw::RunMwPhase(gate_shards, cores, json_dir, pinned);
+    return pmw::RunMwPhase(gate_shards, cores, json_dir);
   }
   const int prepare_code = pmw::Main(json_dir);
-  if (!backend_flag.empty()) {
-    const int mw_code = pmw::RunMwPhase(0, cores, json_dir, pinned);
-    return prepare_code != 0 ? prepare_code : mw_code;
-  }
-  const int dense_code =
-      pmw::RunMwPhase(0, cores, json_dir, pmw::core::HypothesisBackend::kDense);
-  const int sparse_code = pmw::RunMwPhase(
-      0, cores, json_dir, pmw::core::HypothesisBackend::kSparse);
-  if (prepare_code != 0) return prepare_code;
-  return dense_code != 0 ? dense_code : sparse_code;
+  const int mw_code = pmw::RunMwPhase(0, cores, json_dir);
+  return prepare_code != 0 ? prepare_code : mw_code;
 }

@@ -17,12 +17,9 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/timer.h"
-#include "core/sharded_hypothesis.h"
 #include "data/generators.h"
 #include "data/histogram.h"
 #include "workload/json.h"
-
-#include <cstdlib>
 
 namespace pmw {
 namespace workload {
@@ -241,45 +238,6 @@ double SafeQuantile(const std::vector<double>& values, double q) {
   return values.empty() ? 0.0 : Quantile(values, q);
 }
 
-/// Shared secret between the bench harness's combiner and its workers —
-/// in-process ones get it directly; external pmw_shard_worker processes
-/// (the nightly CI topology) must be launched with
-/// --auth-token=bench-multihost.
-constexpr const char* kMultihostToken = "bench-multihost";
-
-/// PMW_MULTIHOST_WORKERS="host:port,host:port" names external
-/// shard-group workers, one entry per group in domain order. Unset or
-/// empty means the harness stands up in-process workers. A malformed
-/// entry aborts rather than silently falling back to in-process — a CI
-/// typo must never fake a multi-host pass.
-std::vector<cluster::WorkerAddress> ExternalWorkerAddresses() {
-  std::vector<cluster::WorkerAddress> addresses;
-  const char* env = std::getenv("PMW_MULTIHOST_WORKERS");
-  if (env == nullptr || *env == '\0') return addresses;
-  const std::string spec(env);
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(start, comma - start);
-    const size_t colon = entry.rfind(':');
-    PMW_CHECK_MSG(colon != std::string::npos && colon > 0 &&
-                      colon + 1 < entry.size(),
-                  "PMW_MULTIHOST_WORKERS entry '" << entry
-                                                  << "' is not host:port");
-    const long port = std::strtol(entry.c_str() + colon + 1, nullptr, 10);
-    PMW_CHECK_MSG(port > 0 && port <= 65535,
-                  "PMW_MULTIHOST_WORKERS entry '" << entry
-                                                  << "' has a bad port");
-    cluster::WorkerAddress address;
-    address.host = entry.substr(0, colon);
-    address.port = static_cast<uint16_t>(port);
-    addresses.push_back(std::move(address));
-    start = comma + 1;
-  }
-  return addresses;
-}
-
 /// Attributes the latency tail (client latency >= threshold_ms) to the
 /// server-side phases the ServingMeta spans name. Shares are fractions
 /// of the tail's total (queue_wait + serve) time; solve + mw +
@@ -351,10 +309,6 @@ api::ServerOptions MakeServerOptions(const ScenarioSpec& spec,
   }
   server.serve.num_threads = ResolveServeThreads(spec);
   server.serve.num_shards = spec.shards;
-  server.serve.hypothesis_backend =
-      spec.backend == ScenarioSpec::Backend::kSparse
-          ? core::HypothesisBackend::kSparse
-          : core::HypothesisBackend::kDense;
   server.quota.per_analyst_queries = spec.per_analyst_quota;
   server.dispatcher.queue_capacity = 1024;
   server.dispatcher.max_batch = spec.max_batch;
@@ -398,48 +352,10 @@ ScenarioHarness::ScenarioHarness(const ScenarioSpec& spec,
   names_ = catalog_.Populate(family, spec.catalog_queries,
                              spec.seed ^ 0x9e3779b97f4a7c15ULL, "q/");
 
-  api::ServerOptions server =
-      MakeServerOptions(spec, options, catalog_.scale());
-  if (spec.shard_groups > 0) {
-    // Multi-host topology: shard-group workers own the per-shard MW
-    // phase work behind a cluster::Combiner installed as the endpoint's
-    // hypothesis delegate. External worker processes when
-    // PMW_MULTIHOST_WORKERS names them, in-process ShardWorkers (still
-    // over real localhost TCP) otherwise.
-    PMW_CHECK_MSG(spec.backend == ScenarioSpec::Backend::kDense,
-                  "multi-host serving requires the dense backend");
-    PMW_CHECK_MSG(spec.shards > 1,
-                  "multi-host serving requires shards > 1");
-    cluster::CombinerOptions fabric;
-    fabric.auth_token = kMultihostToken;
-    fabric.workers = ExternalWorkerAddresses();
-    external_workers_ = !fabric.workers.empty();
-    if (!external_workers_) {
-      for (int w = 0; w < spec.shard_groups; ++w) {
-        cluster::ShardWorkerOptions worker_options;
-        worker_options.auth_token = kMultihostToken;
-        auto worker =
-            std::make_unique<cluster::ShardWorker>(worker_options);
-        const Status started = worker->Start();
-        PMW_CHECK_MSG(started.ok(), started.ToString());
-        cluster::WorkerAddress address;
-        address.port = worker->port();
-        fabric.workers.push_back(address);
-        local_workers_.push_back(std::move(worker));
-      }
-    }
-    combiner_ = std::make_unique<cluster::Combiner>(fabric);
-    // Connect at the shard count ConfigureSharding will settle on (the
-    // largest power of two <= min(shards, |X|)); the combiner insists
-    // on the clamped value so its partition matches the front door's.
-    const int clamped = static_cast<int>(
-        core::PartitionDomain(universe_.size(), spec.shards).size());
-    const Status connected = combiner_->Connect(universe_.size(), clamped);
-    PMW_CHECK_MSG(connected.ok(), connected.ToString());
-    server.serve.hypothesis_delegate = combiner_.get();
-  }
   endpoint_ = std::make_unique<api::ServerEndpoint>(
-      dataset_.get(), &catalog_, server, options.server_seed);
+      dataset_.get(), &catalog_,
+      MakeServerOptions(spec, options, catalog_.scale()),
+      options.server_seed);
   transport_ = std::make_unique<api::InProcessTransport>(
       endpoint_.get(), options.verify_codec);
 }
@@ -486,28 +402,6 @@ ScenarioResult ScenarioHarness::Run(const Trace& trace) {
           : 0.0;
   result.hard_rounds = drive.hard_rounds;
   result.span_breakdown = AttributeTail(drive, result.p99_ms);
-
-  if (combiner_ != nullptr) {
-    const cluster::CombinerStats fabric = combiner_->stats();
-    ScenarioResult::Multihost& multihost = result.multihost;
-    multihost.enabled = true;
-    multihost.shard_groups = combiner_->num_workers();
-    multihost.external_workers = external_workers_;
-    multihost.rpcs = fabric.rpcs;
-    multihost.rpc_failures = fabric.rpc_failures;
-    multihost.recoveries = fabric.recoveries;
-    multihost.updates_logged = fabric.updates_logged;
-    multihost.combiner_wait_us =
-        static_cast<double>(fabric.combiner_wait_us);
-    multihost.worker_compute_us =
-        static_cast<double>(fabric.worker_compute_us);
-    if (multihost.combiner_wait_us > 0.0) {
-      multihost.worker_compute_share = std::min(
-          1.0, multihost.worker_compute_us / multihost.combiner_wait_us);
-      multihost.transport_share =
-          std::max(0.0, 1.0 - multihost.worker_compute_share);
-    }
-  }
 
   // The budget view an analyst dashboards, through the same front door.
   api::Client harness(transport_.get(), "workload-harness");
@@ -603,9 +497,7 @@ std::string ScenarioResult::ToJson() const {
            JsonValue::Int(static_cast<long long>(spec.max_batch)))
       .Set("max_wait_us",
            JsonValue::Int(static_cast<long long>(spec.max_wait_us)))
-      .Set("backend", JsonValue::Str(BackendName(spec.backend)))
       .Set("solver_max_iters", JsonValue::Int(spec.solver_max_iters))
-      .Set("shard_groups", JsonValue::Int(spec.shard_groups))
       .Set("seed", JsonValue::Int(static_cast<long long>(spec.seed)));
 
   JsonValue env = JsonValue::Object();
@@ -660,27 +552,6 @@ std::string ScenarioResult::ToJson() const {
 
   JsonValue root = JsonValue::Object();
   root.Set("scenario", JsonValue::Str(spec.name));
-  if (multihost.enabled) {
-    // The distributed-update ledger: where the combiner's wall time
-    // went. Only multi-host scenarios carry the key, so single-process
-    // BENCH jsons keep their schema (and their baselines) unchanged.
-    JsonValue fabric = JsonValue::Object();
-    fabric.Set("shard_groups", JsonValue::Int(multihost.shard_groups))
-        .Set("external_workers", JsonValue::Bool(multihost.external_workers))
-        .Set("rpcs", JsonValue::Int(multihost.rpcs))
-        .Set("rpc_failures", JsonValue::Int(multihost.rpc_failures))
-        .Set("recoveries", JsonValue::Int(multihost.recoveries))
-        .Set("updates_logged", JsonValue::Int(multihost.updates_logged))
-        .Set("combiner_wait_us",
-             JsonValue::Double(multihost.combiner_wait_us))
-        .Set("worker_compute_us",
-             JsonValue::Double(multihost.worker_compute_us))
-        .Set("worker_compute_share",
-             JsonValue::Double(multihost.worker_compute_share))
-        .Set("transport_share",
-             JsonValue::Double(multihost.transport_share));
-    root.Set("multihost", std::move(fabric));
-  }
   root.Set("params", std::move(params))
       .Set("env", std::move(env))
       .Set("requests", std::move(requests))

@@ -26,8 +26,6 @@
 #include "api/catalog.h"
 #include "api/endpoint.h"
 #include "api/in_process_transport.h"
-#include "cluster/combiner.h"
-#include "cluster/worker.h"
 #include "data/binary_universe.h"
 #include "data/dataset.h"
 #include "workload/scenario.h"
@@ -123,30 +121,6 @@ struct ScenarioResult {
   };
   SpanBreakdown span_breakdown;
 
-  /// The distributed-update ledger for multi-host scenarios
-  /// (spec.shard_groups > 0): where the combiner's wall time went —
-  /// waiting on worker replies vs the compute the workers reported for
-  /// the ops themselves (the difference is transport + scheduling) —
-  /// plus the RPC/recovery counters. All zero when single-process.
-  struct Multihost {
-    bool enabled = false;
-    int shard_groups = 0;
-    /// Worker addresses came from PMW_MULTIHOST_WORKERS (external
-    /// pmw_shard_worker processes) rather than in-process workers.
-    bool external_workers = false;
-    long long rpcs = 0;
-    long long rpc_failures = 0;
-    long long recoveries = 0;
-    long long updates_logged = 0;
-    double combiner_wait_us = 0.0;
-    double worker_compute_us = 0.0;
-    /// Shares of the combiner's total wait: what workers actually
-    /// computed vs transport + scheduling overhead.
-    double worker_compute_share = 0.0;
-    double transport_share = 0.0;
-  };
-  Multihost multihost;
-
   /// The endpoint registry's exposition after the run, scraped through
   /// the kMetricsRequest front door in both formats (what nightly CI
   /// uploads next to the BENCH json, and what check_regression.py reads
@@ -206,13 +180,6 @@ class ScenarioHarness {
   std::unique_ptr<data::Dataset> dataset_;
   api::QueryCatalog catalog_;
   std::vector<std::string> names_;
-  /// Multi-host fabric (spec.shard_groups > 0). Declared before the
-  /// endpoint on purpose: the endpoint holds the combiner as its
-  /// hypothesis delegate, so destruction must tear the endpoint down
-  /// first, then the combiner, then the workers it talks to.
-  std::vector<std::unique_ptr<cluster::ShardWorker>> local_workers_;
-  std::unique_ptr<cluster::Combiner> combiner_;
-  bool external_workers_ = false;
   std::unique_ptr<api::ServerEndpoint> endpoint_;
   std::unique_ptr<api::InProcessTransport> transport_;
 };

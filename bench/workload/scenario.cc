@@ -33,16 +33,6 @@ const char* DataShapeName(ScenarioSpec::DataShape shape) {
   return "unknown";
 }
 
-const char* BackendName(ScenarioSpec::Backend backend) {
-  switch (backend) {
-    case ScenarioSpec::Backend::kDense:
-      return "dense";
-    case ScenarioSpec::Backend::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
 std::vector<ScenarioSpec> StandardScenarios() {
   std::vector<ScenarioSpec> scenarios;
 
@@ -125,14 +115,13 @@ std::vector<ScenarioSpec> StandardScenarios() {
     scenarios.push_back(spec);
   }
 
-  // |X| = 2^20 through the sparse hypothesis backend: the domain is 128x
-  // the other scenarios' and a dense histogram would spend O(|X|) per
-  // update and per compaction. Near-uniform data keeps the sparse vector
-  // in its kBottom steady state (the regime where sparse serving must be
-  // cheap), the small catalog + solver cap bound the unavoidable
-  // O(|X| * dim) cold solves, and the cache SLO insists the plan cache
-  // carries the steady state. Latency bounds are dominated by the cold
-  // solves, hence the wide p99.
+  // |X| = 2^20: the domain is 128x the other scenarios'. Near-uniform
+  // data keeps the sparse vector in its kBottom steady state (the regime
+  // where serving a huge domain must be cheap), epochs re-use one
+  // compacted snapshot while no update intervenes, the small catalog +
+  // solver cap bound the unavoidable O(|X| * dim) cold solves, and the
+  // cache SLO insists the plan cache carries the steady state. Latency
+  // bounds are dominated by the cold solves, hence the wide p99.
   {
     ScenarioSpec spec;
     spec.name = "huge_domain";
@@ -140,7 +129,6 @@ std::vector<ScenarioSpec> StandardScenarios() {
     spec.records = 50000;
     spec.catalog_queries = 6;
     spec.shards = 4;
-    spec.backend = ScenarioSpec::Backend::kSparse;
     spec.solver_max_iters = 8;
     spec.alpha = 0.3;
     spec.popularity = ScenarioSpec::Popularity::kZipfian;
@@ -152,38 +140,6 @@ std::vector<ScenarioSpec> StandardScenarios() {
     spec.slo.max_p99_ms = 60000.0;
     spec.slo.min_goodput_qps = 1.0;
     spec.slo.min_cache_hit_rate = 0.5;
-    scenarios.push_back(spec);
-  }
-
-  // The multi-host topology: 2 shard-group workers own the 4 shards'
-  // MW phase work behind a cluster::Combiner, so every hard round pays
-  // three RPC fan-outs (reweigh / partials / normalize) over localhost
-  // TCP. Logistic data makes the early queries fire those hard rounds
-  // for real, which is what populates the combiner's replay log and the
-  // combiner-wait vs worker-compute span breakdown in the BENCH json.
-  // The SLO gate insists distribution stays an implementation detail:
-  // client latency and goodput bounds match the single-process
-  // scenarios' order of magnitude.
-  {
-    ScenarioSpec spec;
-    spec.name = "multihost";
-    spec.shards = 4;
-    spec.shard_groups = 2;
-    spec.serve_threads = 2;
-    // Tight accuracy so a healthy run of queries trip the sparse
-    // vector: the point of the scenario is distributed updates, not a
-    // cache-served steady state.
-    spec.alpha = 0.05;
-    spec.data = ScenarioSpec::DataShape::kLogistic;
-    spec.popularity = ScenarioSpec::Popularity::kZipfian;
-    spec.zipf_theta = 0.99;
-    spec.arrival = ScenarioSpec::Arrival::kClosedLoop;
-    spec.analysts = 4;
-    spec.queries_per_analyst = 96;
-    spec.seed = 606;
-    spec.slo.max_p50_ms = 500.0;
-    spec.slo.max_p99_ms = 5000.0;
-    spec.slo.min_goodput_qps = 10.0;
     scenarios.push_back(spec);
   }
 

@@ -51,24 +51,9 @@ struct ScenarioSpec {
   uint64_t max_wait_us = 200;
   /// Per-analyst admission quota; 0 means unlimited.
   long long per_analyst_quota = 0;
-  /// Hypothesis storage backend (maps to
-  /// api::ServerOptions::serve.hypothesis_backend). kSparse materializes
-  /// only the MW-touched support — the |X| >= 2^20 configuration; with
-  /// exact-mode defaults transcripts stay bit-identical to kDense.
-  enum class Backend { kDense, kSparse };
-  Backend backend = Backend::kDense;
   /// Inner-solver iteration cap; 0 keeps the library default. Huge
   /// domains bound the O(|X| * dim) per-iteration solve cost with it.
   int solver_max_iters = 0;
-  /// > 0 serves multi-host: the harness connects a cluster::Combiner to
-  /// this many shard-group workers and installs it as the endpoint's
-  /// hypothesis delegate, so every MW update fans out over TCP. Workers
-  /// are in-process cluster::ShardWorker instances by default; the
-  /// PMW_MULTIHOST_WORKERS env var ("host:port,host:port", one entry per
-  /// group) points the combiner at external pmw_shard_worker processes
-  /// instead (the nightly CI topology). Requires shards > 1 and the
-  /// dense backend; transcripts stay bit-identical to single-process.
-  int shard_groups = 0;
 
   // -- Mechanism -----------------------------------------------------
   double alpha = 0.2;
@@ -120,11 +105,10 @@ struct ScenarioSpec {
 const char* PopularityName(ScenarioSpec::Popularity popularity);
 const char* ArrivalName(ScenarioSpec::Arrival arrival);
 const char* DataShapeName(ScenarioSpec::DataShape shape);
-const char* BackendName(ScenarioSpec::Backend backend);
 
 /// The canonical scenario matrix: zipfian closed-loop, uniform open-loop
-/// Poisson, hot-key churn, and quota/deadline pressure. The nightly CI
-/// job runs exactly this list.
+/// Poisson, hot-key churn, quota/deadline pressure, and the |X| = 2^20
+/// huge domain. The nightly CI job runs exactly this list.
 std::vector<ScenarioSpec> StandardScenarios();
 
 /// StandardScenarios() entry by name; nullptr-free: returns false when

@@ -44,20 +44,6 @@ constexpr uint8_t kHelloAnalystId = 1;
 constexpr uint8_t kHelloRequestId = 2;
 constexpr uint8_t kHelloAuthToken = 3;
 
-// Shard-RPC field tags (internal combiner -> worker family).
-constexpr uint8_t kRpcRequestId = 1;
-constexpr uint8_t kRpcOp = 2;
-constexpr uint8_t kRpcUpdateSeq = 3;
-// Partition config: u32 domain_size | u32 num_shards | u32 group_lo |
-// u32 group_hi, one 16-byte field.
-constexpr uint8_t kRpcConfig = 4;
-constexpr uint8_t kRpcEta = 5;
-constexpr uint8_t kRpcGlobalMax = 6;
-constexpr uint8_t kRpcTotal = 7;
-// Snapshot range: u32 lo | u32 hi, one 8-byte field.
-constexpr uint8_t kRpcSnapshotRange = 8;
-constexpr uint8_t kRpcPayoff = 9;
-
 // The v1 baseline serving-metadata layout; later same-version fields
 // (the shard count) append after it and pre-shard decoders ignore the
 // tail, exactly like unknown tagged fields.
@@ -258,39 +244,6 @@ void EncodeHelloRequest(const HelloRequest& request, std::string* out) {
   AppendField(kHelloAnalystId, request.analyst_id, out);
   AppendScalarField(kHelloRequestId, request.request_id, out);
   AppendField(kHelloAuthToken, request.auth_token, out);
-  EndFrame(prefix_at, out);
-}
-
-void EncodeShardRpcRequest(const ShardRpcRequest& request,
-                           std::string* out) {
-  const size_t prefix_at =
-      BeginFrame(kMsgTypeShardRpc, request.version, out);
-  AppendScalarField(kRpcRequestId, request.request_id, out);
-  AppendScalarField(kRpcOp, static_cast<uint8_t>(request.op), out);
-  AppendScalarField(kRpcUpdateSeq, request.update_seq, out);
-  {
-    std::string payload;
-    AppendScalar<uint32_t>(request.domain_size, &payload);
-    AppendScalar<uint32_t>(request.num_shards, &payload);
-    AppendScalar<uint32_t>(request.group_lo, &payload);
-    AppendScalar<uint32_t>(request.group_hi, &payload);
-    AppendField(kRpcConfig, payload, out);
-  }
-  AppendScalarField(kRpcEta, request.eta, out);
-  AppendScalarField(kRpcGlobalMax, request.global_max, out);
-  AppendScalarField(kRpcTotal, request.total, out);
-  {
-    std::string payload;
-    AppendScalar<uint32_t>(request.snapshot_lo, &payload);
-    AppendScalar<uint32_t>(request.snapshot_hi, &payload);
-    AppendField(kRpcSnapshotRange, payload, out);
-  }
-  if (!request.payoff.empty()) {
-    std::string payload;
-    payload.reserve(request.payoff.size() * sizeof(double));
-    for (double value : request.payoff) AppendScalar(value, &payload);
-    AppendField(kRpcPayoff, payload, out);
-  }
   EndFrame(prefix_at, out);
 }
 
@@ -539,94 +492,6 @@ Result<HelloRequest> DecodeHelloRequest(std::string_view frame) {
       case kHelloAuthToken:
         request.auth_token.assign(payload.data(), payload.size());
         break;
-      default:
-        break;  // unknown field: skip (forward compatibility)
-    }
-  }
-  return request;
-}
-
-Result<ShardRpcRequest> DecodeShardRpcRequest(std::string_view frame) {
-  std::string_view fields;
-  Status header = OpenFrame(frame, kMsgTypeShardRpc, &fields);
-  if (!header.ok()) return header;
-  ShardRpcRequest request;
-  request.version = static_cast<uint8_t>(frame[6]);
-  FieldCursor cursor(fields);
-  while (!cursor.Done()) {
-    uint8_t tag;
-    std::string_view payload;
-    if (!cursor.Next(&tag, &payload)) {
-      return Malformed("truncated shard-rpc field");
-    }
-    switch (tag) {
-      case kRpcRequestId:
-        if (!ReadExactScalar(payload, &request.request_id)) {
-          return Malformed("shard-rpc request_id is not a u64");
-        }
-        break;
-      case kRpcOp: {
-        // Any u8 is accepted here; the WORKER answers unknown ops with a
-        // typed error, so a newer combiner degrades loudly, not by
-        // failing to decode.
-        uint8_t raw;
-        if (!ReadExactScalar(payload, &raw)) {
-          return Malformed("shard-rpc op is not a u8");
-        }
-        request.op = static_cast<ShardRpcOp>(raw);
-        break;
-      }
-      case kRpcUpdateSeq:
-        if (!ReadExactScalar(payload, &request.update_seq)) {
-          return Malformed("shard-rpc update_seq is not a u64");
-        }
-        break;
-      case kRpcConfig: {
-        if (payload.size() != 16) {
-          return Malformed("shard-rpc config is not 16 bytes");
-        }
-        const char* p = payload.data();
-        request.domain_size = ReadScalar<uint32_t>(p);
-        request.num_shards = ReadScalar<uint32_t>(p + 4);
-        request.group_lo = ReadScalar<uint32_t>(p + 8);
-        request.group_hi = ReadScalar<uint32_t>(p + 12);
-        break;
-      }
-      case kRpcEta:
-        if (!ReadExactScalar(payload, &request.eta)) {
-          return Malformed("shard-rpc eta is not a double");
-        }
-        break;
-      case kRpcGlobalMax:
-        if (!ReadExactScalar(payload, &request.global_max)) {
-          return Malformed("shard-rpc global_max is not a double");
-        }
-        break;
-      case kRpcTotal:
-        if (!ReadExactScalar(payload, &request.total)) {
-          return Malformed("shard-rpc total is not a double");
-        }
-        break;
-      case kRpcSnapshotRange: {
-        if (payload.size() != 8) {
-          return Malformed("shard-rpc snapshot range is not 8 bytes");
-        }
-        request.snapshot_lo = ReadScalar<uint32_t>(payload.data());
-        request.snapshot_hi = ReadScalar<uint32_t>(payload.data() + 4);
-        break;
-      }
-      case kRpcPayoff: {
-        if (payload.size() % sizeof(double) != 0) {
-          return Malformed("payoff slice is not a multiple of 8 bytes");
-        }
-        const size_t n = payload.size() / sizeof(double);
-        request.payoff.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          request.payoff[i] =
-              ReadScalar<double>(payload.data() + i * sizeof(double));
-        }
-        break;
-      }
       default:
         break;  // unknown field: skip (forward compatibility)
     }

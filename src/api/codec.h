@@ -8,8 +8,9 @@
 //   u8   version              protocol version of the sender
 //   u8   msg_type             1 = QueryRequest, 2 = AnswerEnvelope,
 //                             3 = StatsRequest, 4 = MetricsRequest,
-//                             5 = TraceRequest, 6 = HelloRequest,
-//                             7 = ShardRpcRequest
+//                             5 = TraceRequest, 6 = HelloRequest
+//                             (7 is retired: decoders answer it as an
+//                             unexpected message type)
 //   field*                    tagged fields, any order
 //
 //   field := u8 tag | u32 len | len bytes
@@ -49,7 +50,6 @@ inline constexpr uint8_t kMsgTypeStats = 3;
 inline constexpr uint8_t kMsgTypeMetrics = 4;
 inline constexpr uint8_t kMsgTypeTrace = 5;
 inline constexpr uint8_t kMsgTypeHello = 6;
-inline constexpr uint8_t kMsgTypeShardRpc = 7;
 
 /// Appends one complete frame (length prefix included) to *out. A
 /// request with a non-empty query_names vector encodes the batched
@@ -61,7 +61,6 @@ void EncodeStatsRequest(const StatsRequest& request, std::string* out);
 void EncodeMetricsRequest(const MetricsRequest& request, std::string* out);
 void EncodeTraceRequest(const TraceRequest& request, std::string* out);
 void EncodeHelloRequest(const HelloRequest& request, std::string* out);
-void EncodeShardRpcRequest(const ShardRpcRequest& request, std::string* out);
 
 /// Stream framing: is a complete frame sitting at the front of `buffer`?
 enum class FrameStatus {
@@ -83,7 +82,6 @@ Result<StatsRequest> DecodeStatsRequest(std::string_view frame);
 Result<MetricsRequest> DecodeMetricsRequest(std::string_view frame);
 Result<TraceRequest> DecodeTraceRequest(std::string_view frame);
 Result<HelloRequest> DecodeHelloRequest(std::string_view frame);
-Result<ShardRpcRequest> DecodeShardRpcRequest(std::string_view frame);
 
 }  // namespace api
 }  // namespace pmw

@@ -120,70 +120,6 @@ struct HelloRequest {
   std::string auth_token;
 };
 
-/// Operations of the internal shard RPC family (cluster workers). Wire
-/// values are stable; append only.
-enum class ShardRpcOp : uint8_t {
-  /// Installs the worker's slice: domain size, global shard count, and
-  /// the owned shard-group range. Resets state to uniform.
-  kConfigure = 1,
-  /// MW phase 1 over the owned shards (payoff slice + eta); the answer
-  /// doubles are the per-shard local maxima, shard order.
-  kReweigh = 2,
-  /// MW phase 2 (global max in); answer doubles are the per-shard
-  /// subtree sums, shard order.
-  kPartials = 3,
-  /// MW phase 3 (normalizer total in); empty answer.
-  kNormalize = 4,
-  /// Strictly-positive entries of [snapshot_lo, snapshot_hi): answer
-  /// doubles are interleaved (index, value) pairs — exact for any
-  /// universe this repo can hold (indices < 2^53).
-  kSnapshot = 5,
-  /// Installs a checkpointed slice on a configured worker: `payoff`
-  /// carries the strictly-positive entries of the owned domain range as
-  /// interleaved (index, value) pairs (a kSnapshot answer round-tripped,
-  /// so the restored slice is byte-identical), and `update_seq` is the
-  /// sequence number the checkpoint was taken at — the worker's applied
-  /// count afterwards. Lets recovery replay only the log suffix since
-  /// the checkpoint instead of every update ever committed.
-  kRestore = 6,
-};
-
-/// One internal shard RPC (front-door combiner -> shard-group worker).
-/// Never crosses the public surface: the front door's ServerEndpoint
-/// answers these with kMalformedRequest; only cluster::ShardWorker
-/// serves them. Replies travel as ordinary AnswerEnvelope frames (the
-/// payload in `answer`), so the client-side correlation machinery is
-/// shared with analyst traffic.
-struct ShardRpcRequest {
-  uint8_t version = kProtocolVersion;
-  /// Client-assigned correlation id, echoed in the reply envelope.
-  uint64_t request_id = 0;
-  ShardRpcOp op = ShardRpcOp::kConfigure;
-  /// Monotone update sequence number (commit order); the worker rejects
-  /// out-of-order phases with a typed error, which is how a half-applied
-  /// update is detected and replayed after a crash.
-  uint64_t update_seq = 0;
-  /// kConfigure: the global partition this worker slices.
-  uint32_t domain_size = 0;
-  uint32_t num_shards = 0;
-  /// kConfigure: owned shard indices [group_lo, group_hi) of the global
-  /// partition (contiguous, so the owned domain slice is contiguous).
-  uint32_t group_lo = 0;
-  uint32_t group_hi = 0;
-  /// kReweigh: the MW learning rate (the signed exponent).
-  double eta = 0.0;
-  /// kPartials: the writer's folded global max.
-  double global_max = 0.0;
-  /// kNormalize: the writer's fixed-tree normalizer total.
-  double total = 0.0;
-  /// kSnapshot: requested domain range.
-  uint32_t snapshot_lo = 0;
-  uint32_t snapshot_hi = 0;
-  /// kReweigh: the payoff slice covering the owned domain range, in
-  /// domain order.
-  std::vector<double> payoff;
-};
-
 /// Serving metadata riding back with every answer: where in the
 /// mechanism's life the answer was produced and what budget remains.
 struct ServingMeta {

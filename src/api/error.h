@@ -63,10 +63,8 @@ enum class ErrorCode : uint16_t {
   /// The transport failed (broken socket, closed channel).
   kTransportError = 10,
   kInternal = 11,
-  /// A shard-group worker is unreachable (connect refused, RPC timeout,
-  /// or a dropped connection the combiner's bounded reconnect/replay
-  /// could not recover). Zero additional privacy cost: the hypothesis is
-  /// left unchanged.
+  /// Retired: no longer produced. Kept so kAuthRequired stays 13 on the
+  /// wire.
   kShardUnavailable = 12,
   /// The connection has not completed the hello/auth exchange the
   /// endpoint requires, presented a bad token, or sent a request whose

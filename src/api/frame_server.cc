@@ -79,7 +79,7 @@ Status FillTcpAddress(const std::string& host, uint16_t port,
   std::memset(address, 0, sizeof(*address));
   address->sin_family = AF_INET;
   address->sin_port = htons(port);
-  // Explicit dotted-quad only — cluster topology is concrete addresses,
+  // Explicit dotted-quad only — deployments name concrete addresses,
   // and a resolver in the serving path would add a blocking dependency.
   if (::inet_pton(AF_INET, host.c_str(), &address->sin_addr) != 1) {
     return MakeStatus(ErrorCode::kTransportError,
@@ -178,8 +178,8 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
     return MakeStatus(ErrorCode::kTransportError,
                       "socket() failed: " + std::string(strerror(errno)));
   }
-  // The shard RPC path is many small latency-critical frames; Nagle
-  // would serialize the MW phase round trips.
+  // Requests and replies are small latency-critical frames; Nagle
+  // would delay pipelined round trips.
   const int enable = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=

@@ -1,17 +1,17 @@
 // The ONE stream-framing path of the pmw::api wire protocol, shared by
 // every deployment that puts codec frames on a byte stream: the
-// Unix-domain SocketServer, the TcpServer, their client transports, and
-// the cluster shard-group worker. Framing policy (length-prefix walk,
-// malformed-stream handling, reply write-back order) lives here once so
-// adversarial-bytes behavior cannot diverge between Unix and TCP — the
-// property tests/api_codec_test.cc pins is transport-independent.
+// Unix-domain SocketServer, the TcpServer, and their client transports.
+// Framing policy (length-prefix walk, malformed-stream handling, reply
+// write-back order) lives here once so adversarial-bytes behavior cannot
+// diverge between Unix and TCP — the property tests/api_codec_test.cc
+// pins is transport-independent.
 //
 //   FrameServer                       FrameSink (per deployment)
 //   listener fd -> accept loop ->     OnFrame(bytes, conn state) decides
 //   per-connection reader thread      what the frames MEAN: the analyst
 //   (frame walk -> sink) + writer     front door dispatches to a
-//   thread (encode replies as         ServerEndpoint; a shard-group
-//   their futures resolve)            worker serves the internal RPCs
+//   thread (encode replies as         ServerEndpoint
+//   their futures resolve)
 //
 // Per-connection identity rides in FrameSink::ConnState: the hello/auth
 // exchange binds an analyst id to the connection, and the sink enforces
@@ -68,7 +68,7 @@ size_t WalkFrames(std::string_view buffer, FrameStatus* final_status,
 Result<int> ListenUnix(const std::string& path);
 
 /// Bound + listening TCP socket fd on `host` (IPv4 dotted-quad; no DNS —
-/// cluster topology is explicit addresses). Port 0 selects an ephemeral
+/// deployments name explicit addresses). Port 0 selects an ephemeral
 /// port; *bound_port receives the actual one either way.
 Result<int> ListenTcp(const std::string& host, uint16_t port,
                       uint16_t* bound_port);
@@ -100,7 +100,7 @@ class FrameSink {
                        std::vector<std::future<AnswerEnvelope>>* replies) = 0;
 
   /// Byte/error accounting hooks (the front door feeds CodecCounters;
-  /// the worker's defaults drop them).
+  /// the defaults drop them).
   virtual void OnBytesIn(long long bytes) { (void)bytes; }
   virtual void OnReplyEncoded(long long bytes) { (void)bytes; }
   virtual void OnDecodeError() {}
@@ -108,7 +108,7 @@ class FrameSink {
 
 /// Accept loop + per-connection reader/writer threads over an
 /// already-listening socket. Address family agnostic: SocketServer hands
-/// it a Unix listener, TcpServer and the cluster worker a TCP one.
+/// it a Unix listener, TcpServer a TCP one.
 class FrameServer {
  public:
   /// `sink` must outlive the server.

@@ -88,21 +88,6 @@ class EndpointFrameSink : public FrameSink {
       } else {
         answer_now(poll_error(hello.status()));
       }
-    } else if (msg_type == kMsgTypeShardRpc) {
-      // The worker protocol NEVER crosses the public surface: the front
-      // door answers it with a typed error no matter how well-formed
-      // the frame is (decoding only to echo the correlation id).
-      Result<ShardRpcRequest> rpc = DecodeShardRpcRequest(frame);
-      AnswerEnvelope envelope;
-      if (rpc.ok()) {
-        counters.frames_decoded->Add(1);
-        envelope.request_id = rpc.value().request_id;
-      }
-      envelope.error = ErrorCode::kMalformedRequest;
-      envelope.message =
-          "endpoint: shard rpcs are internal to the cluster; this is the "
-          "analyst front door";
-      answer_now(std::move(envelope));
     } else if (msg_type == kMsgTypeStats) {
       Result<StatsRequest> stats = DecodeStatsRequest(frame);
       if (stats.ok()) {
@@ -375,13 +360,6 @@ std::future<AnswerEnvelope> StreamTransport::SendTrace(TraceRequest request) {
 std::future<AnswerEnvelope> StreamTransport::SendHello(HelloRequest request) {
   std::string wire;
   EncodeHelloRequest(request, &wire);
-  return std::move(ShipFrame(wire, request.request_id, 1).front());
-}
-
-std::future<AnswerEnvelope> StreamTransport::SendShardRpc(
-    ShardRpcRequest request) {
-  std::string wire;
-  EncodeShardRpcRequest(request, &wire);
   return std::move(ShipFrame(wire, request.request_id, 1).front());
 }
 

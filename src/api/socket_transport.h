@@ -1,6 +1,6 @@
 // The wire deployments of the pmw::api protocol: codec frames over a
 // stream socket — Unix-domain for the same-host sidecar story, TCP for
-// the multi-host cluster (front door + shard-group workers).
+// analysts on other hosts.
 //
 //   StreamTransport (client)                FrameServer (server core)
 //   Send: encode frame, register            accept loop -> per-connection
@@ -81,14 +81,14 @@ class SocketServer {
   FrameServer server_;
 };
 
-/// Serves one ServerEndpoint on a TCP listener — the multi-host front
-/// door. Same dispatch, framing, and adversarial-bytes behavior as
-/// SocketServer (one shared FrameServer underneath); only the listener
-/// family differs.
+/// Serves one ServerEndpoint on a TCP listener — the front door for
+/// analysts on other hosts. Same dispatch, framing, and adversarial-bytes
+/// behavior as SocketServer (one shared FrameServer underneath); only the
+/// listener family differs.
 class TcpServer {
  public:
   /// `endpoint` must outlive the server. `host` is an IPv4 dotted-quad
-  /// (127.0.0.1 for same-host clusters, 0.0.0.0 to serve a real one);
+  /// (127.0.0.1 for same-host clients, 0.0.0.0 to serve other hosts);
   /// port 0 picks an ephemeral port — read it back via port().
   TcpServer(ServerEndpoint* endpoint, std::string host, uint16_t port);
   ~TcpServer();
@@ -144,10 +144,6 @@ class StreamTransport : public Transport {
   /// The hello/auth frame binding an analyst id to THIS connection.
   std::future<AnswerEnvelope> SendHello(HelloRequest request) override;
 
-  /// Internal shard RPC (combiner -> worker); the reply is an ordinary
-  /// answer frame, so it shares the correlation machinery.
-  std::future<AnswerEnvelope> SendShardRpc(ShardRpcRequest request) override;
-
   void Close() override;
 
  protected:
@@ -191,7 +187,7 @@ class SocketTransport : public StreamTransport {
 };
 
 /// Client-side transport over one TCP connection (IPv4 dotted-quad
-/// host). What the cluster combiner and remote analysts use.
+/// host). What remote analysts use.
 class TcpTransport : public StreamTransport {
  public:
   /// Connects immediately; check status() before first use.

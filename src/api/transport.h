@@ -13,8 +13,8 @@
 //     correlation so many calls may be in flight on one connection.
 //   * TcpTransport (api/socket_transport.h) — the same framing and
 //     correlation machinery (one shared StreamTransport trunk) over a
-//     TCP connection to a TcpServer or a cluster::ShardWorker; the
-//     multi-host path, which is why hello/auth frames exist.
+//     TCP connection to a TcpServer; the remote-analyst path, which is
+//     why hello/auth frames exist.
 
 #ifndef PMWCM_API_TRANSPORT_H_
 #define PMWCM_API_TRANSPORT_H_
@@ -107,20 +107,6 @@ class Transport {
   virtual std::future<AnswerEnvelope> SendHello(HelloRequest request) {
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;
-    std::promise<AnswerEnvelope> promise;
-    promise.set_value(std::move(envelope));
-    return promise.get_future();
-  }
-
-  /// Ships one internal shard RPC (cluster combiner -> worker; the reply
-  /// payload rides the envelope's answer doubles). Base implementation:
-  /// typed kTransportError envelope — only stream transports speak the
-  /// worker protocol.
-  virtual std::future<AnswerEnvelope> SendShardRpc(ShardRpcRequest request) {
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ErrorCode::kTransportError;
-    envelope.message = "transport: shard rpcs are not supported";
     std::promise<AnswerEnvelope> promise;
     promise.set_value(std::move(envelope));
     return promise.get_future();

@@ -92,25 +92,11 @@ Result<PmwAnswer> PmwCm::AnswerQuery(const convex::CmQuery& query) {
 }
 
 int PmwCm::ConfigureSharding(int shards, ShardRunner runner) {
-  return ConfigureSharding(shards, std::move(runner),
-                           HypothesisBackend::kDense);
-}
-
-int PmwCm::ConfigureSharding(int shards, ShardRunner runner,
-                             HypothesisBackend backend,
-                             const SparseHypothesisOptions& sparse) {
   PMW_CHECK_MSG(queries_answered_ == 0 && update_count_ == 0,
                 "sharding must be configured before the first query");
-  hypothesis_.SetBackend(backend, sparse);
   const int actual = hypothesis_.Repartition(shards);
   hypothesis_.set_runner(std::move(runner));
   return actual;
-}
-
-void PmwCm::SetHypothesisDelegate(HypothesisDelegate* delegate) {
-  PMW_CHECK_MSG(queries_answered_ == 0 && update_count_ == 0,
-                "the delegate must be installed before the first query");
-  hypothesis_.SetDelegate(delegate);
 }
 
 HypothesisSnapshot PmwCm::SnapshotHypothesis() const {
@@ -224,16 +210,7 @@ Result<PmwAnswer> PmwCm::AnswerPrepared(
   // reweighs plus the O(K) normalizer combine, bit-identical at any K.
   double exponent = -schedule_.eta / options_.scale;
   if (options_.flip_update_sign) exponent = -exponent;  // ablation only
-  const Status mw_status = hypothesis_.MultiplicativeUpdate(payoff, exponent);
-  if (!mw_status.ok()) {
-    // Only reachable with a cluster delegate whose own bounded recovery
-    // already failed: the hypothesis is unchanged (update_count() still
-    // gates plan caches correctly) but the oracle access above IS on the
-    // ledger — the caller sees a typed unavailability error, and a
-    // replayed run that never lost the worker proceeds identically up to
-    // this query.
-    return mw_status;
-  }
+  hypothesis_.MultiplicativeUpdate(payoff, exponent);
   ++update_count_;
   ++mw_timing_.updates;
   const double mw_ms = mw_timer.ElapsedMillis();

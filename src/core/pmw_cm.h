@@ -210,32 +210,6 @@ class PmwCm {
   /// (core/sharded_hypothesis.h explains why). Returns the actual count.
   int ConfigureSharding(int shards, ShardRunner runner);
 
-  /// As above, additionally selecting the hypothesis storage backend.
-  /// kSparse with default options ("exact mode") keeps transcripts
-  /// bit-identical to kDense; non-default SparseHypothesisOptions opt
-  /// into the documented approx mode (deterministic and replayable, but
-  /// answers may differ from dense within the oracle test's bounds).
-  int ConfigureSharding(int shards, ShardRunner runner,
-                        HypothesisBackend backend,
-                        const SparseHypothesisOptions& sparse = {});
-
-  /// Installs a remote executor of the MW update's per-shard phases (the
-  /// cluster combiner; see core/sharded_hypothesis.h). Call after
-  /// ConfigureSharding and before the first query; requires the dense
-  /// backend. Null restores local execution. `delegate` must outlive the
-  /// mechanism. Does not change a single bit of any transcript — the
-  /// delegate contract IS the in-process arithmetic.
-  void SetHypothesisDelegate(HypothesisDelegate* delegate);
-
-  HypothesisBackend hypothesis_backend() const {
-    return hypothesis_.backend();
-  }
-  /// Hypothesis entries currently materialized (== |X| under kDense) —
-  /// the sparse backend's memory observable.
-  long long materialized_entries() const {
-    return hypothesis_.materialized_entries();
-  }
-
   int num_shards() const { return hypothesis_.num_shards(); }
   /// Stable identity of the shard partition; keys (epoch, shard-set)-
   /// aware plan caches.

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <cstring>
 #include <limits>
-#include <random>
-#include <unordered_map>
-#include <utility>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -34,44 +29,9 @@ void SplitRange(int lo, int hi, int levels,
   SplitRange(mid, hi, levels - 1, out);
 }
 
-/// PairwiseSum over n copies of the same value w, without materializing
-/// them: the fixed tree's shape depends only on the range length (left
-/// child floor(n/2), right child n - floor(n/2)), so the subtree value
-/// over any all-w range of length n is S(n) with
-///   S(1) = w,  S(2) = w + w,  S(n) = S(floor(n/2)) + S(n - floor(n/2))
-/// — bit-identical to the dense fold by induction on the tree. Each
-/// level contributes at most two distinct lengths, so the memo keeps the
-/// recursion O(log n).
-double ReplicatedSum(int n, double w, std::unordered_map<int, double>* memo) {
-  if (n == 0) return 0.0;
-  if (n == 1) return w;
-  if (n == 2) return w + w;
-  const auto it = memo->find(n);
-  if (it != memo->end()) return it->second;
-  const int half = n / 2;
-  const double sum =
-      ReplicatedSum(half, w, memo) + ReplicatedSum(n - half, w, memo);
-  memo->emplace(n, sum);
-  return sum;
-}
-
-/// FNV-1a over the (seed, update index, shard index) triple: the
-/// sampled-normalizer seed schedule. A pure function of its inputs, so
-/// replays with the same options regenerate identical draw sequences.
-uint64_t SampleSeed(uint64_t seed, uint64_t update, uint64_t shard) {
-  uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(seed);
-  mix(update);
-  mix(shard);
-  return hash;
-}
-
-}  // namespace
-
+/// The fixed power-of-two partition of [0, size): `shards` rounded down
+/// to a power of two and clamped to [1, size], each emitted range a node
+/// of PairwiseSum's reduction tree (split at lo + (hi - lo) / 2).
 std::vector<HypothesisShard> PartitionDomain(int size, int shards) {
   PMW_CHECK_GE(size, 1);
   if (shards < 1) shards = 1;
@@ -84,6 +44,8 @@ std::vector<HypothesisShard> PartitionDomain(int size, int shards) {
   return out;
 }
 
+}  // namespace
+
 ShardedHypothesis::ShardedHypothesis(int size)
     : size_(size),
       p_(static_cast<size_t>(size), 1.0 / size),
@@ -92,84 +54,7 @@ ShardedHypothesis::ShardedHypothesis(int size)
   Repartition(1);
 }
 
-void ShardedHypothesis::SetBackend(HypothesisBackend backend,
-                                   const SparseHypothesisOptions& options) {
-  PMW_CHECK_MSG(update_count_ == 0,
-                "the backend must be selected before the first update");
-  backend_ = backend;
-  sparse_options_ = options;
-  if (backend_ == HypothesisBackend::kSparse) {
-    PMW_CHECK_GE(sparse_options_.payoff_threshold, 0.0);
-    if (sparse_options_.sampled_normalizer) {
-      PMW_CHECK_GE(sparse_options_.normalizer_samples, 1);
-    }
-    // Release the dense arrays: the pristine hypothesis is uniform, so
-    // the sparse representation is just the residual 1/size per shard.
-    p_.clear();
-    p_.shrink_to_fit();
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-    RebuildSparseShards({}, {}, 1.0 / size_);
-  } else {
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-    p_.assign(static_cast<size_t>(size_), 1.0 / size_);
-    scratch_.assign(static_cast<size_t>(size_), 0.0);
-  }
-}
-
 int ShardedHypothesis::Repartition(int shards) {
-  // The partition is fixed before a delegate takes ownership of the
-  // state: repartitioning afterwards would strand worker slices.
-  PMW_CHECK_MSG(delegate_ == nullptr,
-                "Repartition after SetDelegate is not supported");
-  // Preserve sparse content across the boundary change: flatten to one
-  // global sorted view (shards are in domain order, so concatenation is
-  // sorted) and re-bucket after the split. Shards whose residual
-  // diverged from the common one — only possible after updates with a
-  // stale partition, which ConfigureSharding forbids — are materialized
-  // entry by entry so the re-bucketing stays well defined.
-  std::vector<int> flat_touched;
-  std::vector<double> flat_value;
-  double flat_residual = 0.0;
-  if (backend_ == HypothesisBackend::kSparse && !sparse_.empty()) {
-    bool residual_set = false;
-    for (int s = 0; s < num_shards(); ++s) {
-      const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-      if (ss.touched_count() < shards_[static_cast<size_t>(s)].size() &&
-          !residual_set) {
-        flat_residual = ss.residual;
-        residual_set = true;
-      }
-    }
-    for (int s = 0; s < num_shards(); ++s) {
-      const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-      const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-      const bool same_residual =
-          ss.touched_count() == shard.size() ||
-          std::memcmp(&ss.residual, &flat_residual, sizeof(double)) == 0;
-      if (same_residual) {
-        flat_touched.insert(flat_touched.end(), ss.touched.begin(),
-                            ss.touched.end());
-        flat_value.insert(flat_value.end(), ss.value.begin(), ss.value.end());
-      } else {
-        size_t ptr = 0;
-        for (int i = shard.lo; i < shard.hi; ++i) {
-          if (ptr < ss.touched.size() && ss.touched[ptr] == i) {
-            flat_touched.push_back(i);
-            flat_value.push_back(ss.value[ptr]);
-            ++ptr;
-          } else {
-            flat_touched.push_back(i);
-            flat_value.push_back(ss.residual);
-          }
-        }
-      }
-    }
-  } else if (backend_ == HypothesisBackend::kSparse) {
-    flat_residual = 1.0 / size_;
-  }
-
   shards_ = PartitionDomain(size(), shards);
   // FNV-1a over the partition: shard-set identity for plan caches.
   uint64_t hash = 1469598103934665603ull;
@@ -183,92 +68,7 @@ int ShardedHypothesis::Repartition(int shards) {
     mix(static_cast<uint64_t>(shard.hi));
   }
   fingerprint_ = hash;
-
-  if (backend_ == HypothesisBackend::kSparse) {
-    RebuildSparseShards(flat_touched, flat_value, flat_residual);
-  }
   return num_shards();
-}
-
-void ShardedHypothesis::RebuildSparseShards(const std::vector<int>& touched,
-                                            const std::vector<double>& value,
-                                            double residual) {
-  sparse_.assign(shards_.size(), SparseShardState{});
-  size_t ptr = 0;
-  for (int s = 0; s < num_shards(); ++s) {
-    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    ss.residual = residual;
-    while (ptr < touched.size() && touched[ptr] < shard.hi) {
-      ss.touched.push_back(touched[ptr]);
-      ss.value.push_back(value[ptr]);
-      ++ptr;
-    }
-    if (ss.touched_count() == shard.size()) ss.residual = 0.0;
-  }
-}
-
-void ShardedHypothesis::SetDelegate(HypothesisDelegate* delegate) {
-  PMW_CHECK_MSG(update_count_ == 0,
-                "the delegate must be installed before the first update");
-  PMW_CHECK_MSG(backend_ == HypothesisBackend::kDense,
-                "delegated execution requires the dense backend "
-                "(cluster v1 ships probability slices)");
-  delegate_ = delegate;
-  if (delegate_ != nullptr) {
-    // State now lives with the delegate (worker slices); keeping the
-    // local arrays would be a second, silently-diverging copy.
-    p_.clear();
-    p_.shrink_to_fit();
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-  } else {
-    p_.assign(static_cast<size_t>(size_), 1.0 / size_);
-    scratch_.assign(static_cast<size_t>(size_), 0.0);
-  }
-}
-
-int ShardedHypothesis::ShardOf(int i) const {
-  // Shards are in domain order; find the first with hi > i.
-  const auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), i,
-      [](int lhs, const HypothesisShard& rhs) { return lhs < rhs.hi; });
-  return static_cast<int>(it - shards_.begin());
-}
-
-double ShardedHypothesis::operator[](int i) const {
-  if (delegate_ != nullptr) {
-    Result<data::HistogramSupport> slice = delegate_->Snapshot(i, i + 1);
-    PMW_CHECK_MSG(slice.ok(), "delegate snapshot failed: "
-                                  << slice.status().ToString());
-    return slice.value().empty() ? 0.0 : slice.value().front().second;
-  }
-  if (backend_ == HypothesisBackend::kDense) {
-    return p_[static_cast<size_t>(i)];
-  }
-  const SparseShardState& ss = sparse_[static_cast<size_t>(ShardOf(i))];
-  const auto it = std::lower_bound(ss.touched.begin(), ss.touched.end(), i);
-  if (it != ss.touched.end() && *it == i) {
-    return ss.value[static_cast<size_t>(it - ss.touched.begin())];
-  }
-  return ss.residual;
-}
-
-const std::vector<double>& ShardedHypothesis::probabilities() const {
-  PMW_CHECK_MSG(backend_ == HypothesisBackend::kDense &&
-                    delegate_ == nullptr,
-                "probabilities() is local-dense-only; use operator[], "
-                "CompactSupport, or ToHistogram");
-  return p_;
-}
-
-long long ShardedHypothesis::materialized_entries() const {
-  // Delegated state is materialized in the workers, not here.
-  if (delegate_ != nullptr) return 0;
-  if (backend_ == HypothesisBackend::kDense) return size_;
-  long long total = 0;
-  for (const SparseShardState& ss : sparse_) total += ss.touched_count();
-  return total;
 }
 
 void ShardedHypothesis::RunShards(const std::function<void(int)>& fn) const {
@@ -288,77 +88,22 @@ data::HistogramSupport ShardedHypothesis::CompactSupport(int lo,
   PMW_CHECK_GE(lo, 0);
   PMW_CHECK_LE(lo, hi);
   PMW_CHECK_LE(hi, size());
+  size_t support_size = 0;
+  for (int i = lo; i < hi; ++i) {
+    if (p_[static_cast<size_t>(i)] > 0.0) ++support_size;
+  }
   data::HistogramSupport support;
-  if (delegate_ != nullptr) {
-    Result<data::HistogramSupport> slice = delegate_->Snapshot(lo, hi);
-    PMW_CHECK_MSG(slice.ok(), "delegate snapshot failed: "
-                                  << slice.status().ToString());
-    return std::move(slice).value();
-  }
-  if (backend_ == HypothesisBackend::kDense) {
-    size_t support_size = 0;
-    for (int i = lo; i < hi; ++i) {
-      if (p_[static_cast<size_t>(i)] > 0.0) ++support_size;
-    }
-    support.reserve(support_size);
-    for (int i = lo; i < hi; ++i) {
-      if (p_[static_cast<size_t>(i)] > 0.0) {
-        support.emplace_back(i, p_[static_cast<size_t>(i)]);
-      }
-    }
-    return support;
-  }
-  // Sparse: merge-walk each overlapping shard, emitting touched values
-  // and residual-filled gaps in index order — the same (index, value)
-  // sequence the dense walk produces.
-  support.reserve(static_cast<size_t>(hi - lo));
-  for (int s = (lo < hi) ? ShardOf(lo) : num_shards(); s < num_shards();
-       ++s) {
-    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    if (shard.lo >= hi) break;
-    const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    const int begin = std::max(lo, shard.lo);
-    const int end = std::min(hi, shard.hi);
-    size_t ptr = static_cast<size_t>(
-        std::lower_bound(ss.touched.begin(), ss.touched.end(), begin) -
-        ss.touched.begin());
-    for (int i = begin; i < end; ++i) {
-      double v;
-      if (ptr < ss.touched.size() && ss.touched[ptr] == i) {
-        v = ss.value[ptr];
-        ++ptr;
-      } else {
-        v = ss.residual;
-      }
-      if (v > 0.0) support.emplace_back(i, v);
+  support.reserve(support_size);
+  for (int i = lo; i < hi; ++i) {
+    if (p_[static_cast<size_t>(i)] > 0.0) {
+      support.emplace_back(i, p_[static_cast<size_t>(i)]);
     }
   }
   return support;
 }
 
 data::Histogram ShardedHypothesis::ToHistogram() const {
-  if (delegate_ != nullptr) {
-    std::vector<double> dense(static_cast<size_t>(size_), 0.0);
-    for (const auto& entry : CompactSupport()) {
-      dense[static_cast<size_t>(entry.first)] = entry.second;
-    }
-    return data::Histogram::FromWeights(dense);
-  }
-  if (backend_ == HypothesisBackend::kDense) {
-    return data::Histogram::FromWeights(p_);
-  }
-  std::vector<double> dense(static_cast<size_t>(size_), 0.0);
-  for (int s = 0; s < num_shards(); ++s) {
-    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      dense[static_cast<size_t>(i)] = ss.residual;
-    }
-    for (size_t j = 0; j < ss.touched.size(); ++j) {
-      dense[static_cast<size_t>(ss.touched[j])] = ss.value[j];
-    }
-  }
-  return data::Histogram::FromWeights(dense);
+  return data::Histogram::FromWeights(p_);
 }
 
 double ShardedHypothesis::CombineShardSums(int lo, int hi) const {
@@ -367,52 +112,9 @@ double ShardedHypothesis::CombineShardSums(int lo, int hi) const {
   return CombineShardSums(lo, mid) + CombineShardSums(mid, hi);
 }
 
-Status ShardedHypothesis::MultiplicativeUpdate(
+void ShardedHypothesis::MultiplicativeUpdate(
     const std::vector<double>& payoff, double eta) {
   PMW_CHECK_EQ(payoff.size(), static_cast<size_t>(size_));
-  if (delegate_ != nullptr) {
-    const Status status = DelegateMultiplicativeUpdate(payoff, eta);
-    if (!status.ok()) return status;
-  } else if (backend_ == HypothesisBackend::kDense) {
-    DenseMultiplicativeUpdate(payoff, eta);
-  } else {
-    SparseMultiplicativeUpdate(payoff, eta);
-  }
-  ++update_count_;
-  return Status::Ok();
-}
-
-Status ShardedHypothesis::DelegateMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  // Same three phases as DenseMultiplicativeUpdate, with the per-shard
-  // bodies executed by the delegate and BOTH combines kept here, in the
-  // same fixed order — that is what carries bit-identity across
-  // processes.
-  std::vector<double> local_max;
-  Status status = delegate_->Reweigh(payoff, eta, &local_max);
-  if (!status.ok()) return status;
-  PMW_CHECK_EQ(local_max.size(), shards_.size());
-  double global_max = -std::numeric_limits<double>::infinity();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].local_max = local_max[s];
-    global_max = std::max(global_max, local_max[s]);
-  }
-
-  std::vector<double> local_sum;
-  status = delegate_->PartialSums(global_max, &local_sum);
-  if (!status.ok()) return status;
-  PMW_CHECK_EQ(local_sum.size(), shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].local_sum = local_sum[s];
-  }
-  const double total = CombineShardSums(0, num_shards());
-  PMW_CHECK_GT(total, 0.0);
-
-  return delegate_->Normalize(total);
-}
-
-void ShardedHypothesis::DenseMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
   // Phase 1 (per shard): log-weights and the shard-local max. Split into
   // a scalar log pass (libm stays per-element) and a vectorizable
   // axpy+max pass: per element the same two IEEE ops in the same order
@@ -462,129 +164,6 @@ void ShardedHypothesis::DenseMultiplicativeUpdate(
     const size_t lo = static_cast<size_t>(shard.lo);
     const size_t n = static_cast<size_t>(shard.hi - shard.lo);
     simd::DivScalarTo(p_.data() + lo, scratch_.data() + lo, total, n);
-  });
-}
-
-void ShardedHypothesis::SparseMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  const double threshold = sparse_options_.payoff_threshold;
-
-  // Phase 1 (per shard): the new touched set and its log-weights, plus
-  // the shard-local max. An entry joins the touched set when it was
-  // already touched (its probability diverged from the residual — the
-  // normalizer will move it again) or its payoff exceeds the threshold;
-  // every other entry shares the single untouched log-weight
-  // SafeLog(residual) + eta * 0.0, which equals the dense phase-1 value
-  // bit-for-bit (x + eta * 0.0 == x in IEEE for the x SafeLog returns).
-  RunShards([this, &payoff, eta, threshold](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    ss.next_touched.clear();
-    ss.logw.clear();
-    double local_max = -std::numeric_limits<double>::infinity();
-    size_t ptr = 0;
-    int untouched = 0;
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      const bool was_touched =
-          ptr < ss.touched.size() && ss.touched[ptr] == i;
-      const double pay = payoff[static_cast<size_t>(i)];
-      if (!was_touched && std::abs(pay) <= threshold) {
-        ++untouched;
-        continue;
-      }
-      const double base = was_touched ? ss.value[ptr] : ss.residual;
-      if (was_touched) ++ptr;
-      const double lw = SafeLog(base) + eta * pay;
-      ss.next_touched.push_back(i);
-      ss.logw.push_back(lw);
-      local_max = std::max(local_max, lw);
-    }
-    ss.untouched_count = untouched;
-    ss.untouched_logw = SafeLog(ss.residual) + eta * 0.0;
-    if (untouched > 0) local_max = std::max(local_max, ss.untouched_logw);
-    shard.local_max = local_max;
-  });
-  double global_max = -std::numeric_limits<double>::infinity();
-  for (const HypothesisShard& shard : shards_) {
-    global_max = std::max(global_max, shard.local_max);
-  }
-
-  // Phase 2 (per shard): stabilized weights and the shard's subtree sum
-  // — exact fixed-tree fold, or the sampled estimator in approx mode.
-  RunShards([this, global_max](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    // Same split as the dense phase 2: vector subtract (elementwise,
-    // exact), scalar exp per element.
-    ss.weight = ss.logw;
-    simd::SubScalar(ss.weight.data(), global_max, ss.weight.size());
-    for (size_t j = 0; j < ss.weight.size(); ++j) {
-      ss.weight[j] = std::exp(ss.weight[j]);
-    }
-    ss.untouched_weight = std::exp(ss.untouched_logw - global_max);
-
-    if (sparse_options_.sampled_normalizer) {
-      // Z_hat = (n / m) * sum of m uniform draws' weights. Deterministic:
-      // the generator is a pure function of (seed, update, shard).
-      const int n = shard.size();
-      const int m = std::min(sparse_options_.normalizer_samples, n);
-      std::mt19937_64 gen(SampleSeed(sparse_options_.seed, update_count_,
-                                     static_cast<uint64_t>(s)));
-      std::vector<double> samples(static_cast<size_t>(m));
-      for (int j = 0; j < m; ++j) {
-        const int idx =
-            shard.lo + static_cast<int>(gen() % static_cast<uint64_t>(n));
-        const auto it = std::lower_bound(ss.next_touched.begin(),
-                                         ss.next_touched.end(), idx);
-        samples[static_cast<size_t>(j)] =
-            (it != ss.next_touched.end() && *it == idx)
-                ? ss.weight[static_cast<size_t>(it - ss.next_touched.begin())]
-                : ss.untouched_weight;
-      }
-      shard.local_sum = PairwiseSum(samples.data(), 0, samples.size()) *
-                        (static_cast<double>(n) / m);
-      return;
-    }
-
-    // Exact: evaluate the shard's subtree of the fixed reduction tree.
-    // Touched leaves are looked up by position in the sorted set;
-    // all-untouched subtrees collapse to the memoized replicated sum;
-    // fully-touched subtrees are contiguous in `weight`, so PairwiseSum
-    // over that slice IS the subtree (same split rule, same leaves).
-    // O(touched * log n + log^2 n) per shard.
-    std::unordered_map<int, double> memo;
-    const std::function<double(int, int, size_t, size_t)> tree_sum =
-        [&](int lo, int hi, size_t t0, size_t t1) -> double {
-      const int n = hi - lo;
-      if (t0 == t1) return ReplicatedSum(n, ss.untouched_weight, &memo);
-      if (static_cast<size_t>(n) == t1 - t0) {
-        return PairwiseSum(ss.weight.data(), t0, t1);
-      }
-      const int mid = lo + n / 2;
-      const size_t tm = static_cast<size_t>(
-          std::lower_bound(ss.next_touched.begin() +
-                               static_cast<std::ptrdiff_t>(t0),
-                           ss.next_touched.begin() +
-                               static_cast<std::ptrdiff_t>(t1),
-                           mid) -
-          ss.next_touched.begin());
-      return tree_sum(lo, mid, t0, tm) + tree_sum(mid, hi, tm, t1);
-    };
-    shard.local_sum =
-        tree_sum(shard.lo, shard.hi, 0, ss.next_touched.size());
-  });
-  const double total = CombineShardSums(0, num_shards());
-  PMW_CHECK_GT(total, 0.0);
-
-  // Phase 3 (per shard): normalize into the new touched set + residual.
-  RunShards([this, total](int s) {
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    ss.touched.swap(ss.next_touched);
-    ss.value.resize(ss.weight.size());
-    simd::DivScalarTo(ss.value.data(), ss.weight.data(), total,
-                      ss.weight.size());
-    ss.residual =
-        ss.untouched_count > 0 ? ss.untouched_weight / total : 0.0;
   });
 }
 

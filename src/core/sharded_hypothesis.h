@@ -26,40 +26,6 @@
 //     cross-shard combine just evaluates the remaining top of the tree.
 //     K must therefore be a power of two; Repartition clamps.
 //
-// Backends. Two storage backends sit behind the same interface:
-//
-//   * kDense — one double per universe element (the original layout).
-//   * kSparse — each shard materializes only the *touched* support: a
-//     sorted (index, probability) set for entries whose weight has ever
-//     diverged from the shard's shared *uniform residual*, plus that one
-//     residual double for every untouched entry. An update touches an
-//     entry only when it was already touched or its payoff is nonzero
-//     (more precisely |payoff| > payoff_threshold), so the uniform
-//     start state costs O(1) per shard and memory grows with the
-//     support the mechanism actually reweighs — the Fast-MWEM
-//     observation applied to Figure 3's dual-certificate updates. This
-//     is what lets |X| reach 2^20 and beyond.
-//
-//     Exact mode (the default SparseHypothesisOptions) is bit-identical
-//     to kDense: an untouched entry's log-weight SafeLog(residual) +
-//     eta * 0.0 equals SafeLog(residual) exactly, so all untouched
-//     entries share one unnormalized weight, and the shard's normalizer
-//     subtree is evaluated by walking the SAME fixed reduction tree —
-//     touched leaves individually, maximal all-untouched subtrees via a
-//     memoized replicated-sum recurrence S(n) = S(n/2) + S(n - n/2)
-//     that reproduces PairwiseSum over n equal values bit-for-bit — in
-//     O(touched * log n + log^2 n) instead of O(n).
-//
-//     Approx mode is opt-in via SparseHypothesisOptions and trades the
-//     bit-identity invariant for sublinear updates: payoff_threshold
-//     keeps near-zero payoffs from materializing entries, and
-//     sampled_normalizer estimates each shard's normalizer from
-//     normalizer_samples uniform draws. Both knobs are deterministic —
-//     the sampler is seeded FNV(seed, update index, shard index), so a
-//     replay with the same options reproduces the same transcript — and
-//     the dense-vs-sparse answer delta is bounded by its own oracle
-//     test (tests/sparse_backend_test.cc), not assumed.
-//
 // Threading: per-shard phases touch disjoint [lo, hi) slices and may run
 // on any threads (the optional ShardRunner); every combine runs on the
 // calling (single-writer) thread in fixed shard order.
@@ -71,7 +37,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/result.h"
 #include "data/histogram.h"
 
 namespace pmw {
@@ -91,82 +56,6 @@ struct HypothesisShard {
   int size() const { return hi - lo; }
 };
 
-/// Storage backend selector (see the file comment).
-enum class HypothesisBackend {
-  kDense = 0,
-  kSparse = 1,
-};
-
-/// Knobs of the kSparse backend. The defaults select *exact mode*:
-/// transcripts bit-identical to kDense at every shard count. Setting
-/// either knob away from its default opts into *approx mode* — still
-/// deterministic and replayable under the same options, but answers may
-/// differ from dense within the bounds the oracle test pins.
-struct SparseHypothesisOptions {
-  /// Estimate each shard's normalizer from `normalizer_samples` uniform
-  /// draws instead of the exact fixed-tree fold. Draws come from a
-  /// dedicated generator seeded FNV(seed, update index, shard index),
-  /// so the schedule is a pure function of (seed, partition) and a
-  /// replay reproduces it exactly.
-  bool sampled_normalizer = false;
-  /// Samples per shard per update when sampled_normalizer is on.
-  int normalizer_samples = 256;
-  /// An untouched entry stays untouched while |payoff| <= threshold
-  /// (its payoff is treated as exactly 0.0). 0.0 — the exact-mode
-  /// value — still skips true-zero payoffs, which is what keeps the
-  /// uniform start state O(1): equality with dense is unaffected
-  /// because eta * 0.0 contributes nothing to the log-weight.
-  double payoff_threshold = 0.0;
-  /// Root seed of the sampled-normalizer schedule.
-  uint64_t seed = 0;
-};
-
-/// The fixed power-of-two partition of [0, size): `shards` rounded down
-/// to a power of two and clamped to [1, size], each emitted range a node
-/// of PairwiseSum's reduction tree (split at lo + (hi - lo) / 2). This is
-/// THE partition function — ShardedHypothesis::Repartition calls it, and
-/// the cluster subsystem calls it in worker processes so shard-group
-/// boundaries agree bit-for-bit with the front door's.
-std::vector<HypothesisShard> PartitionDomain(int size, int shards);
-
-/// Remote executor of the MW update's per-shard phases: the seam the
-/// cluster subsystem plugs shard-group worker processes into. When a
-/// delegate is installed the hypothesis state (probabilities + scratch)
-/// lives wherever the delegate keeps it — e.g. sliced across worker
-/// processes — and ShardedHypothesis retains only the partition plus the
-/// per-shard reduction cells, so BOTH combines (the max fold and the
-/// fixed-tree normalizer fold) still run on the single-writer thread in
-/// the same order as in-process. Each phase call covers every shard of
-/// the current partition; outputs are indexed by shard, in shard order.
-///
-/// Determinism contract: a delegate must perform exactly the arithmetic
-/// of DenseMultiplicativeUpdate's per-shard bodies (SafeLog + eta *
-/// payoff and local max; exp(x - global_max) and PairwiseSum over the
-/// shard range; divide by total) — IEEE doubles make that reproducible
-/// across processes, so transcripts stay bit-identical to sequential.
-///
-/// Errors are recoverable-by-caller (an unreachable worker after bounded
-/// retries), never silent: a failed phase leaves the update unapplied
-/// and update_count() unchanged.
-class HypothesisDelegate {
- public:
-  virtual ~HypothesisDelegate() = default;
-
-  /// Phase 1: reweigh every shard in log-space; writes one local max per
-  /// shard (num_shards entries, shard order).
-  virtual Status Reweigh(const std::vector<double>& payoff, double eta,
-                         std::vector<double>* local_max) = 0;
-  /// Phase 2: stabilized weights and per-shard subtree sums
-  /// (num_shards entries, shard order).
-  virtual Status PartialSums(double global_max,
-                             std::vector<double>* local_sum) = 0;
-  /// Phase 3: normalize in place by `total`.
-  virtual Status Normalize(double total) = 0;
-  /// The strictly-positive entries of [lo, hi), index order — the same
-  /// sequence CompactSupport emits locally.
-  virtual Result<data::HistogramSupport> Snapshot(int lo, int hi) = 0;
-};
-
 /// Runs fn(s) for every shard s in [0, num_shards) and returns only once
 /// all shards completed. The serving layer installs a thread-pool-backed
 /// runner (serve::ShardRouter); null means "loop inline in shard order",
@@ -182,17 +71,6 @@ class ShardedHypothesis {
   /// as a single dense shard.
   explicit ShardedHypothesis(int size);
 
-  /// Selects the storage backend. Must be called before the first
-  /// MultiplicativeUpdate (the conversion is only defined for the
-  /// pristine uniform hypothesis); the partition is preserved. kDense
-  /// ignores `options`.
-  void SetBackend(HypothesisBackend backend,
-                  const SparseHypothesisOptions& options = {});
-  HypothesisBackend backend() const { return backend_; }
-  const SparseHypothesisOptions& sparse_options() const {
-    return sparse_options_;
-  }
-
   /// Repartitions into `shards` domain shards — rounded down to a power
   /// of two and clamped to [1, size] (values < 1 included: 0 means
   /// "unsharded") so every shard is a node of the fixed reduction tree
@@ -204,38 +82,19 @@ class ShardedHypothesis {
   /// phases (null restores the inline loop).
   void set_runner(ShardRunner runner) { runner_ = std::move(runner); }
 
-  /// Installs a remote phase executor (see HypothesisDelegate). Must be
-  /// called on the pristine hypothesis (before the first update), after
-  /// the final Repartition, and only under the dense backend — the
-  /// cluster v1 ships probability slices, not sparse residual sets. The
-  /// local dense arrays are released: state now lives with the delegate.
-  /// Null restores local storage (uniform; same pristine-only gate).
-  void SetDelegate(HypothesisDelegate* delegate);
-  HypothesisDelegate* delegate() const { return delegate_; }
-
   int size() const { return size_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const HypothesisShard& shard(int s) const { return shards_[s]; }
   const std::vector<HypothesisShard>& shards() const { return shards_; }
-  /// Probability of element i under either backend (sparse: binary
-  /// search of the touched set, else the shard residual).
-  double operator[](int i) const;
-  /// Dense backend only (the sparse backend has no dense array to
-  /// expose; use operator[], CompactSupport, or ToHistogram).
-  const std::vector<double>& probabilities() const;
+  /// Probability of element i.
+  double operator[](int i) const { return p_[static_cast<size_t>(i)]; }
 
   /// Stable identity of the current partition (count + boundaries):
   /// what (epoch, shard-set)-aware plan caches key on.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Entries materialized by the sparse backend (== size() under
-  /// kDense): the memory-footprint observable benches report.
-  long long materialized_entries() const;
-
   /// The strictly-positive entries, full or per shard range — same
-  /// semantics as data::Histogram::CompactSupport. Identical output
-  /// under both backends (sparse inserts the residual for untouched
-  /// indices), so epoch slice views are backend-agnostic.
+  /// semantics as data::Histogram::CompactSupport.
   data::HistogramSupport CompactSupport() const;
   data::HistogramSupport CompactSupport(int lo, int hi) const;
 
@@ -244,14 +103,10 @@ class ShardedHypothesis {
 
   /// The multiplicative weights update of Figure 3, sharded:
   ///   p'(x) proportional to exp(eta * payoff(x)) * p(x)
-  /// computed in log-space. Phases 1-3 run per shard (via the runner, or
-  /// the installed delegate); the max fold and the normalizer combine
-  /// run here in fixed order. Bit-identical at every shard count and —
-  /// in exact mode — at either backend (see file comment). Always Ok
-  /// with local storage; with a delegate a failed phase (worker
-  /// unreachable after the delegate's own recovery) surfaces here with
-  /// the update unapplied and update_count() unchanged.
-  Status MultiplicativeUpdate(const std::vector<double>& payoff, double eta);
+  /// computed in log-space. Phases 1-3 run per shard (via the runner);
+  /// the max fold and the normalizer combine run here in fixed order.
+  /// Bit-identical at every shard count (see file comment).
+  void MultiplicativeUpdate(const std::vector<double>& payoff, double eta);
 
   /// Runs fn(s) over every shard through the installed runner (inline in
   /// shard order without one). Also the entry point for callers with
@@ -260,64 +115,19 @@ class ShardedHypothesis {
   void RunShards(const std::function<void(int)>& fn) const;
 
  private:
-  /// Sparse per-shard storage plus the per-update scratch the three MW
-  /// phases hand each other (owned per shard, so phases running on
-  /// different threads stay disjoint).
-  struct SparseShardState {
-    /// Sorted absolute indices whose probability diverged from the
-    /// residual, and their probabilities (parallel arrays).
-    std::vector<int> touched;
-    std::vector<double> value;
-    /// The shared probability of every untouched index in the shard
-    /// (0.0 when the shard is fully materialized).
-    double residual = 0.0;
-
-    // --- per-update scratch ---
-    std::vector<int> next_touched;
-    std::vector<double> logw;
-    std::vector<double> weight;
-    double untouched_logw = 0.0;
-    double untouched_weight = 0.0;
-    int untouched_count = 0;
-
-    int touched_count() const { return static_cast<int>(touched.size()); }
-  };
-
   /// Folds the per-shard partial sums up the fixed reduction tree:
   /// combines shards [lo, hi) by the same halving that generated the
   /// partition, so the result equals PairwiseSum over the whole range.
   double CombineShardSums(int lo, int hi) const;
 
-  void DenseMultiplicativeUpdate(const std::vector<double>& payoff,
-                                 double eta);
-  void SparseMultiplicativeUpdate(const std::vector<double>& payoff,
-                                  double eta);
-  Status DelegateMultiplicativeUpdate(const std::vector<double>& payoff,
-                                      double eta);
-  /// Rebuilds sparse_ for the current shards_ partition from the given
-  /// global view (sorted touched pairs + the shared residual).
-  void RebuildSparseShards(const std::vector<int>& touched,
-                           const std::vector<double>& value, double residual);
-  /// The shard index owning domain element i.
-  int ShardOf(int i) const;
-
   int size_ = 0;
-  HypothesisBackend backend_ = HypothesisBackend::kDense;
-  SparseHypothesisOptions sparse_options_;
-  /// Dense backend storage: probabilities and reusable update scratch
-  /// (log-weights, then unnormalized weights). Empty under kSparse.
+  /// Probabilities and reusable update scratch (log-weights, then
+  /// unnormalized weights).
   std::vector<double> p_;
   std::vector<double> scratch_;
-  /// Sparse backend storage, parallel to shards_. Empty under kDense.
-  std::vector<SparseShardState> sparse_;
   std::vector<HypothesisShard> shards_;
   uint64_t fingerprint_ = 0;
-  /// Updates applied so far: gates SetBackend and indexes the
-  /// sampled-normalizer seed schedule.
-  uint64_t update_count_ = 0;
   ShardRunner runner_;
-  /// Remote phase executor; null means local storage (the default).
-  HypothesisDelegate* delegate_ = nullptr;
 };
 
 }  // namespace core

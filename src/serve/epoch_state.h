@@ -31,8 +31,8 @@ namespace serve {
 /// same (version, shard set) SHARE one compacted support buffer:
 /// republishing an unchanged hypothesis costs O(K), not an O(|X|)
 /// compaction pass — the difference between per-batch and per-hard-round
-/// work, and what keeps the common soft-round path sublinear for the
-/// sparse backend at |X| >= 2^20.
+/// work, and what keeps the common soft-round path cheap at
+/// |X| >= 2^20.
 ///
 /// The snapshot is additionally published per domain shard: `shards`
 /// holds one zero-copy [lo, hi) slice view into snapshot->support per

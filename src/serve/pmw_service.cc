@@ -117,14 +117,7 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
   stats_.shards = cm_.ConfigureSharding(
       serve_options.num_shards,
       serve_options.num_shards > 1 ? router_.AsRunner()
-                                   : core::ShardRunner{},
-      serve_options.hypothesis_backend, serve_options.sparse);
-  if (serve_options.hypothesis_delegate != nullptr) {
-    // Multi-host topology: per-shard MW phases run in shard-group worker
-    // processes behind the delegate (cluster::Combiner). Install after
-    // sharding so the delegate sees the final partition.
-    cm_.SetHypothesisDelegate(serve_options.hypothesis_delegate);
-  }
+                                   : core::ShardRunner{});
 
   // Bind the metrics registry (injected by the endpoint, or a private
   // one) and resolve every instrument handle once; all hot-path

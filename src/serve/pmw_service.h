@@ -68,15 +68,6 @@ struct ServeOptions {
   /// transcripts stay bit-identical to sequential PmwCm at ANY
   /// (shards x threads) configuration.
   int num_shards = 1;
-  /// Hypothesis storage backend. kSparse materializes only the support
-  /// the MW updates actually touch (per-shard uniform residual for the
-  /// rest) — the |X| >= 2^20 configuration. With default `sparse`
-  /// options ("exact mode") transcripts remain bit-identical to kDense.
-  core::HypothesisBackend hypothesis_backend =
-      core::HypothesisBackend::kDense;
-  /// Sparse-backend knobs; non-default values opt into the documented
-  /// approx mode (core/sharded_hypothesis.h).
-  core::SparseHypothesisOptions sparse;
   /// Metrics registry the service records into (not owned; must outlive
   /// the service). Null makes the service own a private registry — the
   /// embedded/test configuration. The api endpoint passes its own so one
@@ -86,14 +77,6 @@ struct ServeOptions {
   /// MW) into QueryOutcome. Pure bookkeeping — never influences answers
   /// or transcripts; off saves a few clock reads per commit.
   bool record_spans = true;
-  /// Multi-host serving: a hypothesis delegate (cluster::Combiner) that
-  /// moves the per-shard MW phases to shard-group worker processes. Not
-  /// owned; must outlive the service and already be Connect()ed with
-  /// this service's clamped shard count. Null (the default) keeps every
-  /// phase in-process. Requires num_shards > 1 and the dense backend;
-  /// transcripts stay bit-identical either way (core/sharded_hypothesis.h
-  /// keeps both cross-shard folds on the serving writer).
-  core::HypothesisDelegate* hypothesis_delegate = nullptr;
 };
 
 /// Serving counters. Latency/throughput moments use common/stats.h's

@@ -618,29 +618,6 @@ HelloRequest RandomHelloRequest(Rng* rng) {
   return request;
 }
 
-ShardRpcRequest RandomShardRpcRequest(Rng* rng) {
-  ShardRpcRequest request;
-  request.request_id = rng->NextSeed();
-  // Any op byte, known or not: the decoder carries it, the WORKER types
-  // the rejection — same split as metrics formats.
-  request.op = static_cast<ShardRpcOp>(rng->UniformInt(9));
-  request.update_seq = rng->NextSeed();
-  request.domain_size = static_cast<uint32_t>(rng->UniformInt(1 << 24));
-  request.num_shards = static_cast<uint32_t>(rng->UniformInt(256));
-  request.group_lo = static_cast<uint32_t>(rng->UniformInt(256));
-  request.group_hi = static_cast<uint32_t>(rng->UniformInt(256));
-  request.eta = RandomDouble(rng);
-  request.global_max = RandomDouble(rng);
-  request.total = RandomDouble(rng);
-  request.snapshot_lo = static_cast<uint32_t>(rng->UniformInt(1 << 20));
-  request.snapshot_hi = static_cast<uint32_t>(rng->UniformInt(1 << 20));
-  const int slice = rng->UniformInt(64);
-  for (int i = 0; i < slice; ++i) {
-    request.payoff.push_back(RandomDouble(rng));
-  }
-  return request;
-}
-
 TEST(ApiCodecTest, HelloRoundTripIsIdentity) {
   Rng rng(0xC0DEC + 16);
   for (int trial = 0; trial < 500; ++trial) {
@@ -662,83 +639,29 @@ TEST(ApiCodecTest, HelloRoundTripIsIdentity) {
   }
 }
 
-TEST(ApiCodecTest, ShardRpcRoundTripIsIdentity) {
-  Rng rng(0xC0DEC + 17);
-  for (int trial = 0; trial < 500; ++trial) {
-    const ShardRpcRequest request = RandomShardRpcRequest(&rng);
-    std::string wire;
-    EncodeShardRpcRequest(request, &wire);
-
-    size_t frame_size = 0;
-    ASSERT_EQ(ExtractFrame(wire, &frame_size), FrameStatus::kFrame);
-    ASSERT_EQ(frame_size, wire.size());
-    ASSERT_EQ(PeekMsgType(wire), kMsgTypeShardRpc);
-
-    Result<ShardRpcRequest> decoded = DecodeShardRpcRequest(wire);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const ShardRpcRequest& got = decoded.value();
-    EXPECT_EQ(got.version, kProtocolVersion);
-    EXPECT_EQ(got.request_id, request.request_id);
-    EXPECT_EQ(got.op, request.op);
-    EXPECT_EQ(got.update_seq, request.update_seq);
-    EXPECT_EQ(got.domain_size, request.domain_size);
-    EXPECT_EQ(got.num_shards, request.num_shards);
-    EXPECT_EQ(got.group_lo, request.group_lo);
-    EXPECT_EQ(got.group_hi, request.group_hi);
-    EXPECT_TRUE(SameBits(got.eta, request.eta));
-    EXPECT_TRUE(SameBits(got.global_max, request.global_max));
-    EXPECT_TRUE(SameBits(got.total, request.total));
-    EXPECT_EQ(got.snapshot_lo, request.snapshot_lo);
-    EXPECT_EQ(got.snapshot_hi, request.snapshot_hi);
-    ASSERT_EQ(got.payoff.size(), request.payoff.size());
-    for (size_t i = 0; i < request.payoff.size(); ++i) {
-      EXPECT_TRUE(SameBits(got.payoff[i], request.payoff[i])) << i;
-    }
-  }
-}
-
-TEST(ApiCodecTest, HelloAndShardRpcTruncationsAreTypedNeverACrash) {
+TEST(ApiCodecTest, HelloTruncationsAreTypedNeverACrash) {
   Rng rng(0xC0DEC + 18);
   for (int trial = 0; trial < 25; ++trial) {
-    for (const bool shard_rpc : {false, true}) {
-      std::string wire;
-      if (shard_rpc) {
-        EncodeShardRpcRequest(RandomShardRpcRequest(&rng), &wire);
-      } else {
-        EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
-      }
-      for (size_t cut = 0; cut < wire.size(); ++cut) {
-        const std::string_view prefix(wire.data(), cut);
-        size_t frame_size = 0;
-        EXPECT_EQ(ExtractFrame(prefix, &frame_size),
-                  FrameStatus::kNeedMore);
-        if (shard_rpc) {
-          Result<ShardRpcRequest> decoded = DecodeShardRpcRequest(prefix);
-          ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
-              << "cut=" << cut;
-        } else {
-          Result<HelloRequest> decoded = DecodeHelloRequest(prefix);
-          ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
-              << "cut=" << cut;
-        }
-      }
+    std::string wire;
+    EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      const std::string_view prefix(wire.data(), cut);
+      size_t frame_size = 0;
+      EXPECT_EQ(ExtractFrame(prefix, &frame_size), FrameStatus::kNeedMore);
+      Result<HelloRequest> decoded = DecodeHelloRequest(prefix);
+      ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
+      EXPECT_EQ(ClassifyStatus(decoded.status()),
+                ErrorCode::kMalformedRequest)
+          << "cut=" << cut;
     }
   }
 }
 
-TEST(ApiCodecTest, HelloAndShardRpcCorruptionsAreTypedNeverACrash) {
+TEST(ApiCodecTest, HelloCorruptionsAreTypedNeverACrash) {
   Rng rng(0xC0DEC + 19);
   for (int trial = 0; trial < 400; ++trial) {
     std::string wire;
-    if (rng.Bernoulli(0.5)) {
-      EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
-    } else {
-      EncodeShardRpcRequest(RandomShardRpcRequest(&rng), &wire);
-    }
+    EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
     const int flips = 1 + rng.UniformInt(8);
     for (int f = 0; f < flips; ++f) {
       const size_t at = static_cast<size_t>(
@@ -752,36 +675,17 @@ TEST(ApiCodecTest, HelloAndShardRpcCorruptionsAreTypedNeverACrash) {
                   code == ErrorCode::kVersionMismatch)
           << ErrorCodeName(code);
     }
-    Result<ShardRpcRequest> rpc = DecodeShardRpcRequest(wire);
-    if (!rpc.ok()) {
-      const ErrorCode code = ClassifyStatus(rpc.status());
-      EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
-                  code == ErrorCode::kVersionMismatch)
-          << ErrorCodeName(code);
-    }
   }
 }
 
-TEST(ApiCodecTest, FutureVersionHelloAndShardRpcFramesAreVersionMismatch) {
+TEST(ApiCodecTest, FutureVersionHelloFramesAreVersionMismatch) {
   Rng rng(0xC0DEC + 20);
-  {
-    std::string wire;
-    EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
-    wire[6] = 99;  // version byte sits after the length + magic
-    Result<HelloRequest> decoded = DecodeHelloRequest(wire);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
-  }
-  {
-    std::string wire;
-    EncodeShardRpcRequest(RandomShardRpcRequest(&rng), &wire);
-    wire[6] = 99;
-    Result<ShardRpcRequest> decoded = DecodeShardRpcRequest(wire);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
-  }
+  std::string wire;
+  EncodeHelloRequest(RandomHelloRequest(&rng), &wire);
+  wire[6] = 99;  // version byte sits after the length + magic
+  Result<HelloRequest> decoded = DecodeHelloRequest(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(ClassifyStatus(decoded.status()), ErrorCode::kVersionMismatch);
 }
 
 }  // namespace

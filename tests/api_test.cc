@@ -14,9 +14,15 @@
 //   (c) Serving metadata rides along: epochs, hard/soft rounds,
 //       cache-hit flags, and the remaining-budget view are consistent
 //       with the mechanism's own accounting.
+//   (d) Identity over TCP: an endpoint with an auth token rejects
+//       un-helloed or wrongly-helloed traffic with typed kAuthRequired
+//       envelopes, a connection cannot speak for an analyst it did not
+//       bind, and the bound analyst's transcript still matches
+//       sequential core::PmwCm bit for bit.
 //
 // The TSan CI job rebuilds this binary: the socket reader/writer threads
-// and the deferred envelope assembly run under the race detector.
+// (Unix and TCP) and the deferred envelope assembly run under the race
+// detector.
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -518,28 +524,162 @@ TEST_F(ApiTest, SocketServerAnswersMalformedFramesWithTypedEnvelopes) {
   ASSERT_EQ(::write(raw_fd, wire.data(), wire.size()),
             static_cast<ssize_t>(wire.size()));
 
+  // Replies arrive in frame order on the raw connection; each read
+  // consumes exactly one reply frame.
   std::string reply_bytes;
-  size_t frame_size = 0;
-  while (ExtractFrame(reply_bytes, &frame_size) == FrameStatus::kNeedMore) {
-    char chunk[4096];
-    const ssize_t n = ::read(raw_fd, chunk, sizeof(chunk));
-    ASSERT_GT(n, 0) << "server closed without answering";
-    reply_bytes.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(raw_fd);
-  Result<AnswerEnvelope> reply =
-      DecodeAnswer(std::string_view(reply_bytes).substr(0, frame_size));
+  const auto read_reply = [&]() -> Result<AnswerEnvelope> {
+    size_t frame_size = 0;
+    while (ExtractFrame(reply_bytes, &frame_size) == FrameStatus::kNeedMore) {
+      char chunk[4096];
+      const ssize_t n = ::read(raw_fd, chunk, sizeof(chunk));
+      if (n <= 0) return Status::Internal("server closed without answering");
+      reply_bytes.append(chunk, static_cast<size_t>(n));
+    }
+    Result<AnswerEnvelope> reply =
+        DecodeAnswer(std::string_view(reply_bytes).substr(0, frame_size));
+    reply_bytes.erase(0, frame_size);
+    return reply;
+  };
+  Result<AnswerEnvelope> reply = read_reply();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply.value().error, ErrorCode::kVersionMismatch);
   EXPECT_EQ(reply.value().request_id, 0u);
 
+  // A well-formed frame of the retired message type 7 (once the internal
+  // shard-RPC family) is one more unexpected type: typed
+  // kMalformedRequest, and the connection stays up.
+  StatsRequest retired;
+  retired.analyst_id = "prober";
+  retired.request_id = 100;
+  wire.clear();
+  EncodeStatsRequest(retired, &wire);
+  wire[7] = 7;  // message type byte sits after the length + magic + version
+  ASSERT_EQ(PeekMsgType(wire), 7);
+  ASSERT_EQ(::write(raw_fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  reply = read_reply();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().error, ErrorCode::kMalformedRequest);
+
+  // The same connection keeps serving well-formed requests.
+  QueryRequest healthy;
+  healthy.analyst_id = "prober";
+  healthy.request_id = 101;
+  healthy.query_name = names_[1];
+  wire.clear();
+  EncodeRequest(healthy, &wire);
+  ASSERT_EQ(::write(raw_fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  reply = read_reply();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().ok()) << reply.value().message;
+  EXPECT_EQ(reply.value().request_id, 101u);
+  ::close(raw_fd);
+
   transport.Close();
   server.Shutdown();
   endpoint.Shutdown();
-  // The healthy call is the only mechanism traffic; the malformed frame
-  // cost one decode error and zero privacy.
-  EXPECT_EQ(endpoint.service().mechanism().queries_answered(), 1);
-  EXPECT_EQ(endpoint.codec_counters().decode_errors->Value(), 1);
+  // The two healthy calls are the only mechanism traffic; each malformed
+  // frame cost one decode error and zero privacy.
+  EXPECT_EQ(endpoint.service().mechanism().queries_answered(), 2);
+  EXPECT_EQ(endpoint.codec_counters().decode_errors->Value(), 2);
+}
+
+TEST_F(ApiTest, TcpFrontDoorWithAuthMatchesSequential) {
+  constexpr uint64_t kSeed = 3300;
+  erm::NoisyGradientOracle oracle;
+  ServerOptions options = DefaultServerOptions();
+  options.serve.num_threads = 2;
+  options.serve.num_shards = 4;
+  options.auth_token = "front-door-secret";
+  ServerEndpoint endpoint(dataset_.get(), &oracle, &catalog_, options, kSeed);
+  TcpServer server(&endpoint, "127.0.0.1", 0);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_NE(server.port(), 0);
+
+  TcpTransport transport("127.0.0.1", server.port());
+  ASSERT_TRUE(transport.status().ok()) << transport.status().ToString();
+  Client client(&transport, "analyst-0");
+
+  // Un-helloed queries bounce with a typed kAuthRequired — the endpoint
+  // never sees them as admissible traffic.
+  AnswerEnvelope unauthed = client.Call(names_[0]);
+  ASSERT_FALSE(unauthed.ok());
+  EXPECT_EQ(unauthed.error, ErrorCode::kAuthRequired);
+
+  // A wrong token does not bind.
+  AnswerEnvelope bad_hello = client.Hello("wrong-secret");
+  ASSERT_FALSE(bad_hello.ok());
+  EXPECT_EQ(bad_hello.error, ErrorCode::kAuthRequired);
+  AnswerEnvelope still_unbound = client.Call(names_[0]);
+  ASSERT_FALSE(still_unbound.ok());
+  EXPECT_EQ(still_unbound.error, ErrorCode::kAuthRequired);
+
+  // The real hello binds analyst-0 to this connection.
+  AnswerEnvelope hello = client.Hello("front-door-secret");
+  ASSERT_TRUE(hello.ok()) << hello.message;
+
+  // A different analyst on the SAME connection is rejected: quota
+  // accounting cannot be spoofed by stamping someone else's id.
+  Client impostor(&transport, "analyst-spoof");
+  AnswerEnvelope spoofed = impostor.Call(names_[0]);
+  ASSERT_FALSE(spoofed.ok());
+  EXPECT_EQ(spoofed.error, ErrorCode::kAuthRequired);
+
+  // The bound analyst's transcript matches sequential replay exactly:
+  // answers bit for bit, hard-round flags, and the ledger.
+  erm::NoisyGradientOracle replay_oracle;
+  core::PmwCm sequential(dataset_.get(), &replay_oracle, options.mechanism,
+                         kSeed);
+  for (int j = 0; j < 40; ++j) {
+    const std::string& name =
+        names_[static_cast<size_t>(j * 3) % names_.size()];
+    AnswerEnvelope reply = client.Call(name);
+    Result<core::PmwAnswer> want =
+        sequential.AnswerQuery(*catalog_.Find(name));
+    ASSERT_EQ(reply.ok(), want.ok()) << "call " << j << ": " << reply.message;
+    if (!want.ok()) {
+      EXPECT_EQ(reply.error, ClassifyStatus(want.status())) << j;
+      continue;
+    }
+    ASSERT_EQ(reply.answer.size(), want.value().theta.size()) << j;
+    for (size_t i = 0; i < reply.answer.size(); ++i) {
+      EXPECT_EQ(reply.answer[i], want.value().theta[i])
+          << "call " << j << " coord " << i;
+    }
+    EXPECT_EQ(reply.meta.hard_round, want.value().was_update) << j;
+  }
+  EXPECT_GT(sequential.update_count(), 0);
+
+  transport.Close();
+  server.Shutdown();
+  endpoint.Shutdown();
+  EXPECT_EQ(endpoint.service().mechanism().ledger().Report(),
+            sequential.ledger().Report());
+}
+
+TEST(ApiTransportTest, DeadAddressesAreTypedTransportErrors) {
+  // Port 1 on loopback: connection refused, fast and deterministic.
+  TcpTransport dead_tcp("127.0.0.1", 1);
+  EXPECT_FALSE(dead_tcp.status().ok());
+  Client tcp_client(&dead_tcp, "nobody");
+  AnswerEnvelope tcp_reply = tcp_client.Call("lip/0");
+  ASSERT_FALSE(tcp_reply.ok());
+  EXPECT_EQ(tcp_reply.error, ErrorCode::kTransportError);
+  EXPECT_NE(tcp_reply.message.find("stream transport"), std::string::npos);
+
+  // Unix path that does not exist: same taxonomy, same shape.
+  SocketTransport dead_unix("/tmp/pmw_no_such_socket.sock");
+  EXPECT_FALSE(dead_unix.status().ok());
+  Client unix_client(&dead_unix, "nobody");
+  AnswerEnvelope unix_reply = unix_client.Call("lip/0");
+  ASSERT_FALSE(unix_reply.ok());
+  EXPECT_EQ(unix_reply.error, ErrorCode::kTransportError);
+
+  // A hostname is a typed error, not a DNS lookup: addresses are
+  // explicit IPv4.
+  TcpTransport named("analyst-gateway.internal", 9999);
+  EXPECT_FALSE(named.status().ok());
 }
 
 TEST_F(ApiTest, MetricsRpcExposesTheRegistryInBothFormats) {

@@ -1,7 +1,7 @@
 // Bitwise-equivalence suite for the MW-update SIMD kernels.
 //
 // The serving contract says transcripts are bit-identical at every
-// (shards x threads x backend x transport) configuration; the AVX2 hot
+// (shards x threads x transport) configuration; the AVX2 hot
 // loops (common/simd.h, losses/margin_kernels.h) extend that claim to
 // "...x SIMD on/off". These tests pin the claim at two levels:
 //
@@ -13,9 +13,9 @@
 //     which its only consumer exp(x - max) cannot observe).
 //   * Transcript level: the full serving stack replayed with SIMD
 //     force-disabled (simd::SetEnabled(false)) matches the SIMD-enabled
-//     transcript bit-for-bit across backend {dense, sparse} x shards
-//     {1, 2, 4} x threads {1, 4}. The TSan CI job rebuilds this binary,
-//     so the property also holds under the race detector.
+//     transcript bit-for-bit across shards {1, 2, 4} x threads {1, 4}.
+//     The TSan CI job rebuilds this binary, so the property also holds
+//     under the race detector.
 //
 // On hosts without AVX2 the comparisons collapse to scalar-vs-scalar;
 // those tests GTEST_SKIP so a pass never overstates what was checked.
@@ -340,9 +340,9 @@ TEST_F(MarginKernelTest, DeclinesNonHypercubeUniversesUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Transcript property: SIMD on/off x backend {dense, sparse} x shards
-// {1, 2, 4} x threads {1, 4} — the end-to-end form of the bit-identity
-// claim, through the full serving stack.
+// Transcript property: SIMD on/off x shards {1, 2, 4} x threads {1, 4}
+// — the end-to-end form of the bit-identity claim, through the full
+// serving stack.
 // ---------------------------------------------------------------------------
 
 struct Transcript {
@@ -366,14 +366,13 @@ core::PmwOptions PracticalOptions() {
 Transcript RunServe(const data::Dataset& dataset,
                     const std::vector<convex::CmQuery>& workload,
                     uint64_t seed, int num_shards, int num_threads,
-                    core::HypothesisBackend backend, bool simd_on) {
+                    bool simd_on) {
   SimdToggleGuard guard;
   simd::SetEnabled(simd_on);
   erm::NoisyGradientOracle oracle;
   serve::ServeOptions serve_options;
   serve_options.num_threads = num_threads;
   serve_options.num_shards = num_shards;
-  serve_options.hypothesis_backend = backend;
   serve::PmwService service(&dataset, &oracle, PracticalOptions(), seed,
                             serve_options);
   Transcript t;
@@ -447,24 +446,17 @@ TEST_P(SimdTranscriptPropertyTest, SimdOnOffTranscriptsMatchEverywhere) {
                     "itself";
   }
   const uint64_t seed = 9500 + static_cast<uint64_t>(GetParam());
-  for (core::HypothesisBackend backend :
-       {core::HypothesisBackend::kDense, core::HypothesisBackend::kSparse}) {
-    for (int shards : {1, 2, 4}) {
-      for (int threads : {1, 4}) {
-        const std::string context =
-            std::string(backend == core::HypothesisBackend::kDense
-                            ? "dense"
-                            : "sparse") +
-            " shards=" + std::to_string(shards) +
-            " threads=" + std::to_string(threads);
-        Transcript off = RunServe(*dataset_, workload_, seed, shards, threads,
-                                  backend, /*simd_on=*/false);
-        ASSERT_GT(off.update_count, 0)
-            << context << ": scenario never exercised the MW update path";
-        Transcript on = RunServe(*dataset_, workload_, seed, shards, threads,
-                                 backend, /*simd_on=*/true);
-        ExpectIdentical(on, off, context);
-      }
+  for (int shards : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      const std::string context = "shards=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+      Transcript off = RunServe(*dataset_, workload_, seed, shards, threads,
+                                /*simd_on=*/false);
+      ASSERT_GT(off.update_count, 0)
+          << context << ": scenario never exercised the MW update path";
+      Transcript on = RunServe(*dataset_, workload_, seed, shards, threads,
+                               /*simd_on=*/true);
+      ExpectIdentical(on, off, context);
     }
   }
 }
