@@ -38,8 +38,8 @@ missing histograms are never compared (workloads legitimately reshape
 them); only a latency distribution that got materially worse is a
 regression. One counter-derived ratio IS gated: the cross-batch
 plan-cache hit rate (hits/lookups) may not drop more than
---max-hit-rate-drop absolute points below the baseline's -- the CLOCK
-cache's eviction/admission/fingerprint machinery regresses there first.
+--max-hit-rate-drop absolute points below the baseline's -- a bug in
+the cache's content-fingerprint keying shows up there first.
 
 Promoting a baseline: download the BENCH json artifacts from a green
 nightly run and feed them to bench/promote_baselines.py, which buckets
@@ -73,7 +73,7 @@ def metric_of(doc):
 def plan_hit_rate(dump):
     """Plan-cache hit rate from a metrics dump, or None below sample size.
 
-    The cross-batch plan cache (frontend/plan_cache.h) reports its
+    The cross-batch plan cache (serve::PlanCache) reports its
     lookups and hits as counters; a dump with too few lookups says
     nothing about steady-state hit rate, so it is skipped rather than
     compared against noise.
@@ -96,8 +96,8 @@ def compare_metrics_dumps(baseline_dir, candidate_dir, cand_cores_by_name,
     The plan-cache floor: when baseline and candidate both saw enough
     plan lookups, the candidate's hit rate may not fall more than
     --max-hit-rate-drop absolute points below the baseline's. This is
-    the CLOCK-cache regression tripwire -- an eviction-policy or
-    fingerprint bug shows up as warm-stream lookups that stop hitting
+    the plan-cache regression tripwire -- a content-fingerprint keying
+    bug shows up as warm-stream lookups that stop hitting
     long before it shows up in p99.
     """
     for path in sorted(candidate_dir.glob("METRICS_*.json")):

@@ -63,16 +63,14 @@ ServerEndpoint::ServerEndpoint(const data::Dataset* dataset,
   serve_options.registry = &registry_;
   service_ = std::make_unique<serve::PmwService>(
       dataset, oracle, options.mechanism, seed, serve_options);
+  service_->set_plan_cache(&plan_cache_);
   quota_ = std::make_unique<frontend::QuotaManager>(service_.get(),
                                                     options.quota);
-  if (options.enable_plan_cache) {
-    plan_cache_ = std::make_unique<frontend::PlanCache>();
-  }
   frontend::DispatcherOptions dispatcher_options = options.dispatcher;
   dispatcher_options.record_arrival_log = options.record_arrival_log;
   dispatcher_options.trace_recorder = traces_.get();
   dispatcher_ = std::make_unique<frontend::Dispatcher>(
-      service_.get(), quota_.get(), plan_cache_.get(), dispatcher_options);
+      service_.get(), quota_.get(), dispatcher_options);
 }
 
 ServerEndpoint::~ServerEndpoint() { Shutdown(); }
@@ -410,9 +408,7 @@ std::string ServerEndpoint::Report() const {
   row.push_back(TablePrinter::FmtInt(codec_counters_.bytes_out->Value()));
   TablePrinter table(std::move(header));
   table.AddRow(std::move(row));
-  // The snapshot, not the live counters: Report() is also the payload of
-  // the stats RPC, which runs while the writer keeps serving.
-  return table.ToString() + service_->stats_snapshot().Report();
+  return table.ToString() + service_->stats().Report();
 }
 
 }  // namespace api

@@ -7,7 +7,7 @@
 //
 // The endpoint owns the whole serving stack behind it: the ERM oracle,
 // the sharded serve::PmwService, the frontend::QuotaManager, the
-// epoch-keyed PlanCache, and the Dispatcher thread. Handle() is
+// content-stamped serve::PlanCache, and the Dispatcher thread. Handle() is
 // thread-safe (any number of transports / connection handlers may call
 // it); everything stateful funnels through the dispatcher's MPSC queue,
 // which preserves the PR 2/3 transcript guarantee end to end — replaying
@@ -31,7 +31,6 @@
 #include "data/dataset.h"
 #include "erm/oracle.h"
 #include "frontend/dispatcher.h"
-#include "frontend/plan_cache.h"
 #include "frontend/quota_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,7 +60,6 @@ struct ServerOptions {
   frontend::QuotaOptions quota;
   frontend::DispatcherOptions dispatcher;
   OracleKind oracle = OracleKind::kNoisyGradient;
-  bool enable_plan_cache = true;
   /// Record (analyst, client request id, query name) per committed
   /// request, in commit order — the replayable transcript log.
   bool record_arrival_log = false;
@@ -210,7 +208,9 @@ class ServerEndpoint {
   obs::TraceRecorder* trace_recorder() { return traces_.get(); }
 
   /// Front-door stats: the DispatcherStats table extended with this
-  /// endpoint's codec/transport counters, plus the serving report.
+  /// endpoint's codec/transport counters, plus the ServeStats report.
+  /// Every value is a registry read, so the stats RPC may call it while
+  /// the writer keeps serving.
   std::string Report() const;
 
  private:
@@ -227,9 +227,11 @@ class ServerEndpoint {
   /// that publishes into it.
   std::unique_ptr<obs::TraceRecorder> traces_;
   std::unique_ptr<erm::Oracle> owned_oracle_;  // null when injected
+  /// One plan slot per catalog query; only the serving writer touches
+  /// it. Declared before service_, which holds a pointer to it.
+  serve::PlanCache plan_cache_;
   std::unique_ptr<serve::PmwService> service_;
   std::unique_ptr<frontend::QuotaManager> quota_;
-  std::unique_ptr<frontend::PlanCache> plan_cache_;  // null when disabled
   CodecCounters codec_counters_;
   mutable std::mutex arrivals_mutex_;
   std::unordered_map<uint64_t, ArrivalRecord> arrivals_;  // by dispatch id

@@ -33,16 +33,13 @@ std::string DispatcherStats::ToString() const {
 }
 
 Dispatcher::Dispatcher(serve::PmwService* service, QuotaManager* quota,
-                       PlanCache* plan_cache,
                        const DispatcherOptions& options)
     : service_(service),
       quota_(quota),
-      plan_cache_(plan_cache),
       options_(options),
       queue_(options.queue_capacity) {
   PMW_CHECK(service != nullptr);
   PMW_CHECK_GE(options.max_batch, size_t{1});
-  if (plan_cache_ != nullptr) service_->set_plan_cache(plan_cache_);
   // Frontend instruments live in the service's registry so one scrape
   // covers the whole stack; handles resolved once, here.
   obs::Registry& registry = service_->registry();
@@ -55,11 +52,6 @@ Dispatcher::Dispatcher(serve::PmwService* service, QuotaManager* quota,
   m_.deadline_expired =
       registry.GetCounter("pmw_frontend_deadline_expired_total");
   m_.batches = registry.GetCounter("pmw_frontend_batches_total");
-  m_.plan_evicted = registry.GetCounter("pmw_frontend_plan_evicted_total");
-  m_.plan_admission_rejected =
-      registry.GetCounter("pmw_frontend_plan_admission_rejected_total");
-  m_.plan_stale_dropped =
-      registry.GetCounter("pmw_frontend_plan_stale_dropped_total");
   m_.batch_fill = registry.GetHistogram(
       "pmw_frontend_batch_fill", obs::Histogram::LogBuckets(1.0, 2.0, 12));
   // 1us .. ~8.4s in x2 steps: queue waits and batch serve times.
@@ -82,15 +74,9 @@ std::future<Served> Dispatcher::Submit(
   request.deadline = deadline;
   std::future<Served> future = request.promise.get_future();
   if (request_id != nullptr) *request_id = request.id;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.submitted;
-  }
   m_.submitted->Add(1);
 
   if (shutdown_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.shutdown_rejected;
     m_.shutdown_rejected->Add(1);
     request.promise.set_value(Served(api::MakeStatus(
         api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
@@ -102,20 +88,12 @@ std::future<Served> Dispatcher::Submit(
   if (quota_ != nullptr) {
     Status admit = quota_->Admit(analyst_id);
     if (!admit.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.quota_rejected;
-      }
       m_.quota_rejected->Add(1);
       request.promise.set_value(Served(std::move(admit)));
       return future;
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.admitted;
-  }
   request.enqueued_at = std::chrono::steady_clock::now();
   // Push moves from `request` only on success, so a close raced between
   // the shutdown check above and here still leaves us the promise to
@@ -123,17 +101,12 @@ std::future<Served> Dispatcher::Submit(
   // mechanism never saw the query, so the analyst must not stay charged).
   if (!queue_.Push(request)) {
     if (quota_ != nullptr) quota_->Refund(analyst_id);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      --stats_.admitted;
-      ++stats_.shutdown_rejected;
-    }
     m_.shutdown_rejected->Add(1);
     request.promise.set_value(Served(api::MakeStatus(
         api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
   } else {
     // Counters are monotonic: admitted is recorded only once the push
-    // actually stuck (the lock-held path above may revert its ++).
+    // actually stuck.
     m_.admitted->Add(1);
   }
   return future;
@@ -188,12 +161,8 @@ void Dispatcher::DispatchLoop() {
       }
     }
     if (!expired.empty()) {
-      {
-        // Count before resolving, so an awoken waiter always observes
-        // its own expiry in stats().
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.deadline_expired += static_cast<long long>(expired.size());
-      }
+      // Count before resolving, so an awoken waiter always observes its
+      // own expiry in stats().
       m_.deadline_expired->Add(static_cast<long long>(expired.size()));
       for (Request& request : expired) {
         Served served(api::MakeStatus(
@@ -238,22 +207,15 @@ void Dispatcher::DispatchLoop() {
             .count());
     PMW_CHECK_EQ(results.size(), live.size());
     PMW_CHECK_EQ(outcomes.size(), live.size());
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches;
-      stats_.batch_fill.Add(static_cast<double>(live.size()));
-      for (uint64_t wait_us : queue_waits_us) {
-        stats_.queue_wait_us.Add(static_cast<double>(wait_us));
-        stats_.serve_us.Add(static_cast<double>(batch_serve_us));
-      }
-      if (options_.record_arrival_log) {
-        for (const Request& request : live) {
-          arrival_log_.push_back(request.id);
-        }
+    if (options_.record_arrival_log) {
+      std::lock_guard<std::mutex> lock(arrival_log_mutex_);
+      for (const Request& request : live) {
+        arrival_log_.push_back(request.id);
       }
     }
+    // Recorded before any promise resolves, so a woken waiter always
+    // sees its own batch in stats().
     m_.batches->Add(1);
-    PublishPlanCacheMetrics();
     m_.batch_fill->Observe(static_cast<double>(live.size()));
     for (uint64_t wait_us : queue_waits_us) {
       m_.queue_wait_us->Observe(static_cast<double>(wait_us));
@@ -304,38 +266,30 @@ void Dispatcher::DispatchLoop() {
   }
 }
 
-void Dispatcher::PublishPlanCacheMetrics() {
-  if (plan_cache_ == nullptr) return;
-  const serve::PlanCacheCounters totals = plan_cache_->Counters();
-  m_.plan_evicted->Add(totals.evicted - published_plan_counters_.evicted);
-  m_.plan_admission_rejected->Add(totals.admission_rejected -
-                                  published_plan_counters_.admission_rejected);
-  m_.plan_stale_dropped->Add(totals.stale_dropped -
-                             published_plan_counters_.stale_dropped);
-  published_plan_counters_ = totals;
-}
-
 void Dispatcher::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
   shutdown_.store(true, std::memory_order_release);
   queue_.Close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Final flush after the join: the loop may have exited between serving
-  // a batch and the cache's last mutation being published.
-  PublishPlanCacheMetrics();
-  if (plan_cache_ != nullptr && service_->plan_cache() == plan_cache_) {
-    service_->set_plan_cache(nullptr);
-  }
 }
 
 std::vector<uint64_t> Dispatcher::ArrivalLog() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  std::lock_guard<std::mutex> lock(arrival_log_mutex_);
   return arrival_log_;
 }
 
 DispatcherStats Dispatcher::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  DispatcherStats s;
+  s.submitted = m_.submitted->Value();
+  s.admitted = m_.admitted->Value();
+  s.quota_rejected = m_.quota_rejected->Value();
+  s.shutdown_rejected = m_.shutdown_rejected->Value();
+  s.deadline_expired = m_.deadline_expired->Value();
+  s.batches = m_.batches->Value();
+  s.batch_fill = m_.batch_fill->Snap().Moments();
+  s.queue_wait_us = m_.queue_wait_us->Snap().Moments();
+  s.serve_us = m_.serve_us->Snap().Moments();
+  return s;
 }
 
 AnalystSession::AnalystSession(Dispatcher* dispatcher, std::string analyst_id)

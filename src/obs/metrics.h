@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
+
 namespace pmw {
 namespace obs {
 
@@ -99,7 +101,8 @@ class Gauge {
 /// metrics) and never change, so bucket counts are plain relaxed atomic
 /// adds. Alongside the buckets the histogram streams count/sum/sumsq/
 /// min/max exactly, which is what lets common::RunningStats views be
-/// reconstructed losslessly from a scrape (ServeStats re-homing).
+/// reconstructed losslessly from a scrape (Snapshot::Moments — how
+/// serve::ServeStats and frontend::DispatcherStats are rebuilt).
 class Histogram {
  public:
   /// `boundaries` must be strictly increasing; bucket i counts
@@ -129,6 +132,11 @@ class Histogram {
     /// owning bucket, clamped to the observed [min, max]. Deterministic
     /// for a fixed snapshot; 0 when empty.
     double Quantile(double q) const;
+    /// The streamed moments as a RunningStats view: count, sum, min and
+    /// max exact, variance up to float rearrangement.
+    RunningStats Moments() const {
+      return RunningStats::FromMoments(count, sum, sumsq, min, max);
+    }
   };
   Snapshot Snap() const;
 

@@ -82,11 +82,6 @@ std::string ServeStats::Report() const {
   report += "reprepared=" + std::to_string(reprepared) +
             " cross_batch_lookups=" +
             std::to_string(cross_batch_cache_lookups) + "\n";
-  report += "plan_cache: evicted=" + std::to_string(plan_cache_evicted) +
-            " admission_rejected=" +
-            std::to_string(plan_cache_admission_rejected) +
-            " stale_dropped=" + std::to_string(plan_cache_stale_dropped) +
-            "\n";
   report += "batch latency ms: " + batch_latency_ms.Summary() + "\n";
   report += "batch queries/sec: " + batch_queries_per_sec.Summary();
   if (!per_analyst.empty()) {
@@ -111,10 +106,9 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       executor_(pool_.get(), &cm_),
       router_(pool_.get()),
       record_spans_(serve_options.record_spans) {
-  stats_.threads = pool_ != nullptr ? pool_->size() : 1;
   // Partition the hypothesis and route its per-shard MW-update work
   // through the pool. A single shard keeps the inline (sequential) path.
-  stats_.shards = cm_.ConfigureSharding(
+  cm_.ConfigureSharding(
       serve_options.num_shards,
       serve_options.num_shards > 1 ? router_.AsRunner()
                                    : core::ShardRunner{});
@@ -154,8 +148,8 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       obs::Histogram::LogBuckets(1.0, 2.0, 24));
   // Topology gauges are live immediately so a scrape before the first
   // batch already reports it.
-  m_.threads->Set(static_cast<double>(stats_.threads));
-  m_.shards->Set(static_cast<double>(stats_.shards));
+  m_.threads->Set(pool_ != nullptr ? pool_->size() : 1);
+  m_.shards->Set(cm_.num_shards());
 }
 
 PmwService::AnalystHandles& PmwService::HandlesFor(
@@ -174,53 +168,34 @@ PmwService::AnalystHandles& PmwService::HandlesFor(
   return it->second;
 }
 
-ServeStats PmwService::stats_snapshot() const {
+ServeStats PmwService::stats() const {
   // Rebuilt wholly from registry reads — no lock shared with the writer,
   // no per-batch copy. Each value is individually torn-free; the set may
   // straddle a batch (the standard metrics-scrape contract).
-  const obs::Registry& reg = *registry_;
   ServeStats s;
-  s.queries = reg.CounterValue("pmw_serve_queries_total");
-  s.batches = reg.CounterValue("pmw_serve_batches_total");
-  s.bottom_answers = reg.CounterValue("pmw_serve_bottom_total");
-  s.updates = reg.CounterValue("pmw_serve_updates_total");
-  s.prepare_cache_hits =
-      reg.CounterValue("pmw_serve_prepare_cache_hits_total");
-  s.errors = reg.CounterValue("pmw_serve_errors_total");
-  s.epochs = reg.CounterValue("pmw_serve_epochs_total");
-  s.reprepared = reg.CounterValue("pmw_serve_reprepared_total");
-  s.cross_batch_cache_lookups =
-      reg.CounterValue("pmw_serve_cross_batch_lookups_total");
-  s.cross_batch_cache_hits =
-      reg.CounterValue("pmw_serve_cross_batch_hits_total");
-  // The frontend dispatcher publishes the plan cache's replacement
-  // counters into the same registry; zero when no dispatcher/cache runs.
-  s.plan_cache_evicted =
-      reg.CounterValue("pmw_frontend_plan_evicted_total");
-  s.plan_cache_admission_rejected =
-      reg.CounterValue("pmw_frontend_plan_admission_rejected_total");
-  s.plan_cache_stale_dropped =
-      reg.CounterValue("pmw_frontend_plan_stale_dropped_total");
-  s.threads = static_cast<int>(reg.GaugeValue("pmw_serve_threads"));
-  s.shards = static_cast<int>(reg.GaugeValue("pmw_serve_shards"));
-  s.mw_update_ms = reg.GaugeValue("pmw_serve_mw_update_ms");
-  s.mw_updates =
-      static_cast<long long>(reg.GaugeValue("pmw_serve_mw_updates"));
-  const obs::Histogram::Snapshot latency =
-      reg.HistogramSnap("pmw_serve_batch_latency_ms");
-  s.batch_latency_ms = RunningStats::FromMoments(
-      latency.count, latency.sum, latency.sumsq, latency.min, latency.max);
-  const obs::Histogram::Snapshot qps =
-      reg.HistogramSnap("pmw_serve_batch_queries_per_sec");
-  s.batch_queries_per_sec =
-      RunningStats::FromMoments(qps.count, qps.sum, qps.sumsq, qps.min,
-                                qps.max);
+  s.queries = m_.queries->Value();
+  s.batches = m_.batches->Value();
+  s.bottom_answers = m_.bottom_answers->Value();
+  s.updates = m_.updates->Value();
+  s.prepare_cache_hits = m_.prepare_cache_hits->Value();
+  s.errors = m_.errors->Value();
+  s.epochs = m_.epochs->Value();
+  s.reprepared = m_.reprepared->Value();
+  s.cross_batch_cache_lookups = m_.cross_batch_cache_lookups->Value();
+  s.cross_batch_cache_hits = m_.cross_batch_cache_hits->Value();
+  s.threads = static_cast<int>(m_.threads->Value());
+  s.shards = static_cast<int>(m_.shards->Value());
+  s.mw_update_ms = m_.mw_update_ms->Value();
+  s.mw_updates = static_cast<long long>(m_.mw_updates->Value());
+  s.batch_latency_ms = m_.batch_latency_ms->Snap().Moments();
+  s.batch_queries_per_sec = m_.batch_queries_per_sec->Snap().Moments();
   // Labeled analyst counters fold back into the per_analyst map; name
   // order == deterministic map order.
   const std::string kQ = "pmw_serve_analyst_queries_total{analyst=\"";
   const std::string kU = "pmw_serve_analyst_updates_total{analyst=\"";
   const std::string kE = "pmw_serve_analyst_errors_total{analyst=\"";
   std::string analyst;
+  const obs::Registry& reg = *registry_;
   reg.ForEachCounter(kQ, [&](const std::string& name, long long value) {
     if (ParseLabeledAnalyst(name, kQ, &analyst)) {
       s.per_analyst[analyst].queries = value;
@@ -243,22 +218,9 @@ std::shared_ptr<const Epoch> PmwService::PublishAndPrepare(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
     ShardExecutor::PrepareResult* prepared) {
   std::shared_ptr<const Epoch> epoch = epochs_.Publish(cm_);
-  const long long published = epochs_.epochs_published();
-  m_.epochs->Add(published - stats_.epochs);
-  stats_.epochs = published;
-  // Tell the cache where serving now is before any probe; entries whose
-  // content fingerprints no longer match are permanently stale and the
-  // cache drops them (lazily or here).
-  if (plan_cache_ != nullptr) {
-    plan_cache_->OnEpochPublish({epoch->snapshot->version,
-                                 epoch->shard_fingerprint,
-                                 epoch->content_fingerprint});
-  }
+  m_.epochs->Add(1);
   *prepared = executor_.PrepareRange(queries, begin, end, *epoch,
                                      plan_cache_);
-  stats_.prepare_cache_hits += prepared->cache_hits;
-  stats_.cross_batch_cache_lookups += prepared->cross_batch_lookups;
-  stats_.cross_batch_cache_hits += prepared->cross_batch_hits;
   m_.prepare_cache_hits->Add(prepared->cache_hits);
   m_.cross_batch_cache_lookups->Add(prepared->cross_batch_lookups);
   m_.cross_batch_cache_hits->Add(prepared->cross_batch_hits);
@@ -282,6 +244,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     std::vector<QueryOutcome>* outcomes) {
   WallTimer timer;
   const size_t n = queries.size();
+  const int shards = cm_.num_shards();
   PMW_CHECK_MSG(analyst_ids.empty() || analyst_ids.size() == n,
                 "analyst_ids must be empty or aligned with queries");
 
@@ -321,14 +284,9 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     const convex::CmQuery& query = queries[j];
     PMW_CHECK(query.loss != nullptr);
     PMW_CHECK(query.domain != nullptr);
-    ServeStats::AnalystCounters* analyst =
-        analyst_ids.empty() ? nullptr : &stats_.per_analyst[analyst_ids[j]];
-    AnalystHandles* analyst_metrics =
+    AnalystHandles* analyst =
         analyst_ids.empty() ? nullptr : &HandlesFor(analyst_ids[j]);
-    if (analyst != nullptr) {
-      ++analyst->queries;
-      analyst_metrics->queries->Add(1);
-    }
+    if (analyst != nullptr) analyst->queries->Add(1);
     QueryOutcome* outcome = outcomes != nullptr ? &(*outcomes)[j] : nullptr;
     if (outcome != nullptr) outcome->epoch = cm_.hypothesis_version();
     const bool spans = record_spans_ && outcome != nullptr;
@@ -337,12 +295,8 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
       Result<core::PmwAnswer> rejected =
           cm_.AnswerPrepared(query, core::PreparedQuery{});
       PMW_CHECK(!rejected.ok());
-      ++stats_.errors;
       m_.errors->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->errors;
-        analyst_metrics->errors->Add(1);
-      }
+      if (analyst != nullptr) analyst->errors->Add(1);
       results.push_back(rejected.status());
       continue;
     }
@@ -357,7 +311,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     if (outcome != nullptr && epoch != nullptr) {
       outcome->cache_hit = prepared.plan_from_cache[plan_slot] != 0;
     }
-    if (spans && stats_.shards > 1) router_.ResetWindow(stats_.shards);
+    if (spans && shards > 1) router_.ResetWindow(shards);
     WallTimer commit_timer;
     Result<core::PmwAnswer> answer = cm_.AnswerPrepared(
         query, plan, epoch != nullptr ? epoch->snapshot.get() : nullptr);
@@ -369,24 +323,16 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     }
     if (outcome != nullptr) outcome->epoch = cm_.hypothesis_version();
     if (!answer.ok()) {
-      ++stats_.errors;
       m_.errors->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->errors;
-        analyst_metrics->errors->Add(1);
-      }
+      if (analyst != nullptr) analyst->errors->Add(1);
       results.push_back(answer.status());
       continue;
     }
     if (answer.value().was_update) {
-      ++stats_.updates;
       m_.updates->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->updates;
-        analyst_metrics->updates->Add(1);
-      }
+      if (analyst != nullptr) analyst->updates->Add(1);
       if (outcome != nullptr) outcome->hard_round = true;
-      if (spans && stats_.shards > 1) {
+      if (spans && shards > 1) {
         const std::vector<uint64_t>& window = router_.WindowShardUs();
         outcome->shard_us.reserve(window.size());
         for (uint64_t us : window) {
@@ -405,11 +351,9 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
         batch_prepare_us +=
             static_cast<uint64_t>(prepare_timer.ElapsedSeconds() * 1e6);
         prepared_begin = j + 1;
-        stats_.reprepared += static_cast<long long>(prepared.plans.size());
         m_.reprepared->Add(static_cast<long long>(prepared.plans.size()));
       }
     } else {
-      ++stats_.bottom_answers;
       m_.bottom_answers->Add(1);
     }
     results.push_back(std::move(answer.value().theta));
@@ -424,29 +368,15 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
   }
 
   double elapsed_ms = timer.ElapsedMillis();
-  ++stats_.batches;
-  stats_.queries += static_cast<long long>(n);
-  stats_.batch_latency_ms.Add(elapsed_ms);
   m_.batches->Add(1);
   m_.queries->Add(static_cast<long long>(n));
   m_.batch_latency_ms->Observe(elapsed_ms);
   if (elapsed_ms > 0.0 && n > 0) {
-    const double qps = static_cast<double>(n) / (elapsed_ms / 1e3);
-    stats_.batch_queries_per_sec.Add(qps);
-    m_.batch_queries_per_sec->Observe(qps);
+    m_.batch_queries_per_sec->Observe(static_cast<double>(n) /
+                                      (elapsed_ms / 1e3));
   }
-  stats_.mw_update_ms = cm_.mw_timing().total_ms;
-  stats_.mw_updates = cm_.mw_timing().updates;
-  m_.mw_update_ms->Set(stats_.mw_update_ms);
-  m_.mw_updates->Set(static_cast<double>(stats_.mw_updates));
-  if (plan_cache_ != nullptr) {
-    // Replacement/staleness totals are owned by the cache; mirror them
-    // into the writer's stats once per batch (cheap: one virtual call).
-    const PlanCacheCounters counters = plan_cache_->Counters();
-    stats_.plan_cache_evicted = counters.evicted;
-    stats_.plan_cache_admission_rejected = counters.admission_rejected;
-    stats_.plan_cache_stale_dropped = counters.stale_dropped;
-  }
+  m_.mw_update_ms->Set(cm_.mw_timing().total_ms);
+  m_.mw_updates->Set(static_cast<double>(cm_.mw_timing().updates));
   return results;
 }
 

@@ -79,9 +79,9 @@ struct ServeOptions {
   bool record_spans = true;
 };
 
-/// Serving counters. Latency/throughput moments use common/stats.h's
-/// RunningStats; totals are plain counters (only the serving writer
-/// mutates them, so no atomics).
+/// Serving counters, as a value rebuilt from the service's obs::Registry
+/// by PmwService::stats() (the registry is the only store). Latency/
+/// throughput moments use common/stats.h's RunningStats.
 struct ServeStats {
   /// Per-analyst slice of the counters, keyed by the tags a front-end
   /// passes to AnswerBatch (empty when serving untagged traffic).
@@ -108,25 +108,17 @@ struct ServeStats {
   long long prepare_cache_hits = 0;
   /// Error statuses returned to clients (halted / budget exhausted).
   long long errors = 0;
-  /// Epochs published (one per batch start + one per mid-batch update).
-  /// Mirrors EpochState::epochs_published(), the authoritative counter.
+  /// Epochs published (one per batch start + one per mid-batch update);
+  /// equals EpochState::epochs_published().
   long long epochs = 0;
   /// Distinct plans recomputed in parallel after a mid-batch epoch
   /// advance (repeats of an already-recomputed query are cache hits).
   long long reprepared = 0;
   /// Cross-batch plan cache: distinct queries probed / served from a
-  /// PlanCacheHook (zero when no cache is attached). Unlike
-  /// prepare_cache_hits these survive between AnswerBatch calls — the
-  /// whole point of the front-end's epoch-keyed cache.
+  /// PlanCache (zero when no cache is attached). Unlike
+  /// prepare_cache_hits these survive between AnswerBatch calls.
   long long cross_batch_cache_lookups = 0;
   long long cross_batch_cache_hits = 0;
-  /// How cross-batch cached plans died (PlanCacheHook::Counters; zeros
-  /// with no cache attached): replacement-policy evictions, admission
-  /// rejections (the new plan was never cached), and content-fingerprint
-  /// staleness drops. Totals, refreshed per batch.
-  long long plan_cache_evicted = 0;
-  long long plan_cache_admission_rejected = 0;
-  long long plan_cache_stale_dropped = 0;
   /// Worker threads serving shards (1 = inline).
   int threads = 1;
   /// Domain shards the hypothesis is partitioned into (after clamping).
@@ -224,25 +216,20 @@ class PmwService {
   Result<convex::Vec> Answer(const convex::CmQuery& query);
 
   /// Attaches a cross-batch plan cache (not owned; may be null to
-  /// detach). The service probes it during every prepare phase and
-  /// notifies it of each epoch publish, extending the intra-batch dedup
-  /// across the whole request stream. Set from the serving thread while
-  /// no batch is in flight.
-  void set_plan_cache(PlanCacheHook* cache) { plan_cache_ = cache; }
-  PlanCacheHook* plan_cache() const { return plan_cache_; }
+  /// detach). The service probes and feeds it during every prepare
+  /// phase, extending the intra-batch dedup across the whole request
+  /// stream. Set while no batch is in flight.
+  void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
   core::PmwCm& mechanism() { return cm_; }
   const core::PmwCm& mechanism() const { return cm_; }
-  /// Live counters — single-writer state: read only from the serving
-  /// thread or after serving quiesces. Remote scrapers use
-  /// stats_snapshot().
-  const ServeStats& stats() const { return stats_; }
-  /// A ServeStats view rebuilt purely from registry reads — safe from
-  /// any thread while the writer keeps serving (the stats RPC), never
-  /// blocks the writer, and costs no per-batch struct copy. Latency
-  /// moments come back through RunningStats::FromMoments, so mean/sum
-  /// are exact and variance matches up to float rearrangement.
-  ServeStats stats_snapshot() const;
+  /// The serving counters, rebuilt from registry reads — safe from any
+  /// thread while the writer keeps serving (the stats RPC) and never
+  /// blocks the writer. Each value is individually torn-free; the set
+  /// may straddle a batch. Latency moments come back through
+  /// RunningStats::FromMoments, so mean/sum are exact and variance
+  /// matches up to float rearrangement.
+  ServeStats stats() const;
   /// The metrics registry the service records into (its own unless
   /// ServeOptions::registry injected one). Scrape-safe from any thread.
   obs::Registry& registry() { return *registry_; }
@@ -256,7 +243,7 @@ class PmwService {
 
  private:
   /// Publishes a fresh epoch and prepares queries[begin, end) against it,
-  /// folding executor counters into stats_ and the registry. Returns the
+  /// folding executor counters into the registry. Returns the
   /// epoch; `*prepared` receives the deduplicated plans + position index
   /// for the range.
   std::shared_ptr<const Epoch> PublishAndPrepare(
@@ -299,7 +286,6 @@ class PmwService {
   /// into cm_ as its ShardRunner when num_shards > 1.
   ShardRouter router_;
   EpochState epochs_;
-  ServeStats stats_;
   /// Owned fallback when ServeOptions::registry is null; registry_
   /// always points at the live one.
   std::unique_ptr<obs::Registry> owned_registry_;
@@ -308,7 +294,7 @@ class PmwService {
   /// Writer-local: only the serving thread touches the handle cache.
   std::map<std::string, AnalystHandles> analyst_handles_;
   bool record_spans_ = true;
-  PlanCacheHook* plan_cache_ = nullptr;  // not owned
+  PlanCache* plan_cache_ = nullptr;  // not owned
 };
 
 }  // namespace serve

@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <future>
-#include <unordered_map>
 
 #include "common/check.h"
 
 namespace pmw {
 namespace serve {
+
+bool PlanCache::Lookup(const QueryKey& key, const PlanStamp& stamp,
+                       core::PreparedQuery* plan) const {
+  auto it = slots_.find(key);
+  if (it == slots_.end() || it->second.shard_set != stamp.shard_set ||
+      it->second.content != stamp.content) {
+    return false;
+  }
+  *plan = it->second.plan;
+  plan->hypothesis_version = stamp.version;
+  return true;
+}
+
+void PlanCache::Insert(const QueryKey& key, const PlanStamp& stamp,
+                       const core::PreparedQuery& plan) {
+  slots_[key] = Slot{stamp.shard_set, stamp.content, plan};
+}
 
 ShardExecutor::ShardExecutor(ThreadPool* pool, const core::PmwCm* cm)
     : pool_(pool), cm_(cm) {
@@ -27,7 +43,7 @@ void ShardExecutor::PrepareShard(std::span<const convex::CmQuery> queries,
 
 ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
-    const Epoch& epoch, PlanCacheHook* cache) const {
+    const Epoch& epoch, PlanCache* cache) const {
   PMW_CHECK_LE(begin, end);
   PMW_CHECK_LE(end, queries.size());
   PrepareResult result;
@@ -58,8 +74,9 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
 
   // Cross-batch cache probe, still on the calling thread: slots the cache
   // fills need no solver work at all; only the misses are sharded out. A
-  // cached plan at the epoch's version equals the recompute byte-for-byte
-  // (Prepare is deterministic), so the transcript cannot depend on hits.
+  // plan cached under the epoch's (shard_set, content) equals the
+  // recompute byte-for-byte (Prepare is deterministic over the support
+  // bytes), so the transcript cannot depend on hits.
   std::vector<size_t> miss_slots;
   miss_slots.reserve(distinct);
   const PlanStamp stamp{epoch.snapshot->version, epoch.shard_fingerprint,
@@ -127,7 +144,8 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
   }
 
   // Publish the fresh plans (writer thread, after the join, so the cache
-  // never observes a half-written plan).
+  // never observes a half-written plan). Every miss is inserted, which
+  // overwrites a stale slot for the same query in place.
   if (cache != nullptr) {
     for (size_t u = 0; u < misses; ++u) {
       const size_t slot = miss_slots[u];

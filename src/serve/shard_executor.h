@@ -16,7 +16,9 @@
 // plan is scattered back to every position that asked for it. Cycling
 // workloads — many clients asking overlapping questions — therefore
 // amortize identically at every thread count, and workers never compute
-// the same plan twice regardless of how repeats straddle shards.
+// the same plan twice regardless of how repeats straddle shards. The same
+// QueryKey then keys the cross-batch PlanCache, so a repeat in a later
+// batch skips the solver too.
 
 #ifndef PMWCM_SERVE_SHARD_EXECUTOR_H_
 #define PMWCM_SERVE_SHARD_EXECUTOR_H_
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -61,61 +64,53 @@ struct PlanStamp {
   uint64_t content = 0;
 };
 
-/// A cross-batch plan cache the executor consults before computing plans
-/// and feeds after (frontend::PlanCache implements it). Entries are keyed
-/// by (query fingerprint, shard set, per-shard content fingerprints):
-/// Prepare is a pure function of (query, support bytes), and sharding
-/// never changes the hypothesis bits, so a cached plan whose stamp agrees
-/// on (shard_set, content) is byte-identical to what Prepare would
-/// recompute against the probing epoch — even when the hypothesis
-/// *version* differs, as it does on every soft round between hard
-/// updates. Implementations serving such a content hit must restamp the
-/// returned plan's hypothesis_version to the probing stamp's version (the
-/// one field Prepare derives from the version rather than the bytes);
-/// after that restamp the plan is byte-identical to a recompute, so
-/// serving from the cache can never change a transcript — only the
-/// wall-clock.
+/// The cross-batch plan cache: one slot per distinct query, stamped with
+/// the (shard_set, content) of the epoch its plan was computed under.
+/// Queries travel by catalog name and every name resolves to one
+/// pointer-stable entry, so the map never holds more than |catalog|
+/// plans and needs no replacement policy.
 ///
-/// Threading contract: every method is called from the serving writer
-/// thread only (PrepareRange probes before fanning work out and inserts
-/// after joining the shards). Implementations may add internal locking so
-/// other threads can scrape stats, but correctness never relies on it.
-/// Replacement/staleness totals a PlanCacheHook reports for
-/// observability: the three distinct ways a cached plan dies. Surfaced
-/// through ServeStats and the frontend's pmw_frontend_plan_* metrics.
-struct PlanCacheCounters {
-  /// Entries evicted by the replacement policy to make room.
-  long long evicted = 0;
-  /// New plans the admission policy refused to cache at all.
-  long long admission_rejected = 0;
-  /// Entries dropped because their content fingerprints went stale.
-  long long stale_dropped = 0;
-};
-
-class PlanCacheHook {
+/// Correctness: Prepare is a pure function of (query, support bytes),
+/// and sharding never changes the hypothesis bits, so a cached plan
+/// whose stamp agrees with the probing epoch on (shard_set, content) is
+/// byte-identical to what Prepare would recompute — even when the
+/// hypothesis *version* differs, as it does on every soft round between
+/// hard updates. The one field Prepare derives from the version rather
+/// than the bytes, the plan's hypothesis_version, is restamped to the
+/// probing version on every hit; after that the plan equals a recompute
+/// byte for byte, so serving from the cache can never change a
+/// transcript — only the wall-clock.
+///
+/// Staleness: the hypothesis only moves forward, so a slot whose stamp
+/// no longer matches is never valid again. PrepareRange inserts after
+/// every miss, which overwrites the stale slot in place; no separate
+/// drop path exists.
+///
+/// Lifetime: keys are loss/domain pointers, so the query families (the
+/// catalog) must outlive the cache. Threading: the serving writer is the
+/// only caller (PrepareRange probes before fanning work out and inserts
+/// after joining the shards), so there is no lock.
+class PlanCache {
  public:
-  virtual ~PlanCacheHook() = default;
+  /// Copies the plan for `key` into `*plan`, restamped to
+  /// `stamp.version`, and returns true when the slot was computed under
+  /// `stamp`'s (shard_set, content); returns false on a miss.
+  bool Lookup(const QueryKey& key, const PlanStamp& stamp,
+              core::PreparedQuery* plan) const;
+  /// Stores `plan`, computed under `stamp`, in `key`'s slot (replacing
+  /// any older plan for the same query).
+  void Insert(const QueryKey& key, const PlanStamp& stamp,
+              const core::PreparedQuery& plan);
+  /// Slots held: one per distinct query ever inserted.
+  size_t size() const { return slots_.size(); }
 
-  /// Copies the cached plan for `key` into `*plan` — restamped to
-  /// `stamp.version` — and returns true when the cached stamp matches
-  /// `stamp` on (shard_set, content); returns false on a miss.
-  virtual bool Lookup(const QueryKey& key, const PlanStamp& stamp,
-                      core::PreparedQuery* plan) = 0;
-
-  /// Offers a freshly computed plan, computed under `stamp` (so
-  /// plan.hypothesis_version == stamp.version).
-  virtual void Insert(const QueryKey& key, const PlanStamp& stamp,
-                      const core::PreparedQuery& plan) = 0;
-
-  /// The writer published an epoch with this stamp. Entries whose content
-  /// no longer matches are permanently stale (the hypothesis only moves
-  /// forward) and must never be served again — implementations may drop
-  /// them eagerly here or lazily on lookup.
-  virtual void OnEpochPublish(const PlanStamp& stamp) = 0;
-
-  /// Running replacement/staleness totals (bookkeeping only — never
-  /// influences caching decisions or answers). Default: all zeros.
-  virtual PlanCacheCounters Counters() const { return {}; }
+ private:
+  struct Slot {
+    uint64_t shard_set = 0;
+    uint64_t content = 0;
+    core::PreparedQuery plan;
+  };
+  std::unordered_map<QueryKey, Slot, QueryKeyHash> slots_;
 };
 
 class ShardExecutor {
@@ -156,7 +151,7 @@ class ShardExecutor {
   /// plan after the shards join — both on the calling thread.
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
                              size_t begin, size_t end, const Epoch& epoch,
-                             PlanCacheHook* cache = nullptr) const;
+                             PlanCache* cache = nullptr) const;
 
  private:
   /// Prepares the cache-missed queries whose plan slots are

@@ -96,7 +96,7 @@ Transcript RunSharded(const data::Dataset& dataset,
 
 /// Like RunSharded, but with span recording toggled and — when
 /// `scrape` — a concurrent scraper thread hammering the registry
-/// exposition and the registry-backed stats snapshot the whole run.
+/// exposition and the registry-backed stats() the whole run.
 /// Observability must never touch the transcript, so the result must be
 /// bit-identical to every other configuration.
 Transcript RunShardedObserved(const data::Dataset& dataset,
@@ -118,7 +118,7 @@ Transcript RunShardedObserved(const data::Dataset& dataset,
     scraper = std::thread([&service, &stop] {
       while (!stop.load(std::memory_order_acquire)) {
         EXPECT_FALSE(service.registry().TextExposition().empty());
-        const ServeStats snapshot = service.stats_snapshot();
+        const ServeStats snapshot = service.stats();
         EXPECT_GE(snapshot.queries, 0);
       }
     });
@@ -126,11 +126,13 @@ Transcript RunShardedObserved(const data::Dataset& dataset,
 
   Transcript t;
   std::vector<QueryOutcome> outcomes;
+  long long batches_sent = 0;
   for (size_t start = 0; start < workload.size(); start += batch_size) {
     size_t count = std::min(batch_size, workload.size() - start);
     std::span<const convex::CmQuery> batch(&workload[start], count);
     std::vector<Result<convex::Vec>> results =
         service.AnswerBatch(batch, {}, &outcomes);
+    ++batches_sent;
     EXPECT_EQ(outcomes.size(), count);
     for (size_t j = 0; j < results.size(); ++j) {
       if (!record_spans) {
@@ -151,12 +153,12 @@ Transcript RunShardedObserved(const data::Dataset& dataset,
   t.queries_answered = service.mechanism().queries_answered();
   t.halted = service.mechanism().halted();
 
-  // The registry view agrees with the writer-local counters once the
-  // writer quiesces.
-  const ServeStats snapshot = service.stats_snapshot();
-  EXPECT_EQ(snapshot.queries, service.stats().queries);
-  EXPECT_EQ(snapshot.updates, service.stats().updates);
-  EXPECT_EQ(snapshot.batches, service.stats().batches);
+  // Once the writer quiesces, the registry counts exactly what this
+  // harness issued and what the mechanism did.
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.queries, static_cast<long long>(workload.size()));
+  EXPECT_EQ(stats.batches, batches_sent);
+  EXPECT_EQ(stats.updates, service.mechanism().update_count());
   return t;
 }
 
@@ -367,7 +369,7 @@ TEST(ServeShardedTest, RouterFansMwUpdateWorkAcrossThePool) {
                      serve_options);
   service.AnswerBatch(workload);
 
-  const ServeStats& stats = service.stats();
+  const ServeStats stats = service.stats();
   ASSERT_GT(stats.updates, 0) << "workload never fired a hard round";
   EXPECT_EQ(stats.mw_updates, stats.updates);
   EXPECT_GE(stats.mw_update_ms, 0.0);
