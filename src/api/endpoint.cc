@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "api/codec.h"
 #include "common/check.h"
 #include "common/table_printer.h"
 #include "erm/glm_oracle.h"
@@ -116,40 +117,25 @@ std::future<AnswerEnvelope> ServerEndpoint::Handle(QueryRequest request) {
                std::chrono::microseconds(
                    std::min(request.deadline_micros, kMaxDeadlineMicros));
   }
-  uint64_t dispatch_id = 0;
-  std::future<frontend::Served> served;
-  if (options_.record_arrival_log) {
-    // The mutex spans Submit + map insert so ArrivalLog() can never
-    // observe a dispatch id (committed by the dispatcher thread) whose
-    // record is not in the map yet.
-    std::lock_guard<std::mutex> lock(arrivals_mutex_);
-    served = dispatcher_->Submit(request.analyst_id, *query, &dispatch_id,
-                                 deadline);
-    arrivals_[dispatch_id] = ArrivalRecord{
-        request.analyst_id, request.request_id, request.query_name};
-  } else {
-    served = dispatcher_->Submit(request.analyst_id, *query, &dispatch_id,
-                                 deadline);
-  }
+  const uint8_t version = request.version;
+  const uint64_t request_id = request.request_id;
+  std::future<frontend::Served> served = dispatcher_->Submit(
+      request.analyst_id, *query, request_id, std::move(request.query_name),
+      deadline);
   // A synchronously resolved submit (quota/shutdown rejection, or a
-  // served answer that beat us here) is finished eagerly: the envelope
-  // is complete, and — unlike a deferred task, which never runs if its
-  // future is abandoned without get() — the never-committed arrivals_
-  // cleanup inside Finish is guaranteed to happen.
+  // served answer that beat us here) is finished eagerly: its envelope
+  // is complete now.
   if (served.wait_for(std::chrono::seconds(0)) ==
       std::future_status::ready) {
-    return Ready(
-        Finish(request.version, request.request_id, dispatch_id,
-               served.get()));
+    return Ready(Finish(version, request_id, served.get()));
   }
   // Deferred adapter: the envelope is assembled on whichever thread
   // get()s the future (transport writer loops, Client::Call) — the
   // dispatcher thread never does envelope work.
   return std::async(
       std::launch::deferred,
-      [this, version = request.version, request_id = request.request_id,
-       dispatch_id, inner = std::move(served)]() mutable {
-        return Finish(version, request_id, dispatch_id, inner.get());
+      [this, version, request_id, inner = std::move(served)]() mutable {
+        return Finish(version, request_id, inner.get());
       });
 }
 
@@ -300,34 +286,110 @@ AnswerEnvelope ServerEndpoint::HandleHello(const HelloRequest& request) {
   return envelope;
 }
 
+bool ServerEndpoint::HandleFrame(
+    std::string_view frame, ConnState* conn,
+    std::vector<std::future<AnswerEnvelope>>* replies) {
+  const auto answer_now = [replies](AnswerEnvelope envelope) {
+    std::promise<AnswerEnvelope> ready;
+    ready.set_value(std::move(envelope));
+    replies->push_back(ready.get_future());
+  };
+  // A typed decode error (malformed fields, foreign version) is answered
+  // like any other request instead of killing the connection.
+  const auto undecodable = [&](const Status& status) {
+    codec_counters_.decode_errors->Add(1);
+    AnswerEnvelope envelope;
+    envelope.error = ClassifyStatus(status);
+    envelope.message = status.message();
+    answer_now(std::move(envelope));
+    return false;
+  };
+  // The connection-identity gate: on an endpoint with an auth token,
+  // every non-hello frame must follow an accepted hello AND speak as the
+  // analyst that hello bound — otherwise QuotaManager accounting could
+  // be spoofed by writing someone else's id into a request. Rejections
+  // cost zero privacy (they never reach the mechanism).
+  const auto auth_rejected = [&](const std::string& analyst,
+                                 uint64_t first_id, size_t count) {
+    if (conn == nullptr || options_.auth_token.empty()) return false;
+    std::string why;
+    if (!conn->hello_ok) {
+      why =
+          "endpoint: connection is not authenticated; send a hello frame "
+          "first";
+    } else if (conn->bound_analyst != analyst) {
+      why = "endpoint: request analyst '" + analyst +
+            "' does not match the connection's bound analyst '" +
+            conn->bound_analyst + "'";
+    } else {
+      return false;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      AnswerEnvelope envelope;
+      envelope.request_id = first_id + i;
+      envelope.error = ErrorCode::kAuthRequired;
+      envelope.message = why;
+      answer_now(std::move(envelope));
+    }
+    return true;
+  };
+  // Stats, metrics and trace polls only read counters and rings: they
+  // are answered synchronously, as one normal answer frame each.
+  const auto poll = [&](auto decoded, auto serve) {
+    if (!decoded.ok()) return undecodable(decoded.status());
+    codec_counters_.frames_decoded->Add(1);
+    if (!auth_rejected(decoded.value().analyst_id,
+                       decoded.value().request_id, 1)) {
+      answer_now((this->*serve)(decoded.value()));
+    }
+    return true;
+  };
+  switch (PeekMsgType(frame)) {
+    case kMsgTypeHello: {
+      Result<HelloRequest> hello = DecodeHelloRequest(frame);
+      if (!hello.ok()) return undecodable(hello.status());
+      codec_counters_.frames_decoded->Add(1);
+      AnswerEnvelope envelope = HandleHello(hello.value());
+      if (envelope.ok() && conn != nullptr) {
+        conn->hello_ok = true;
+        conn->bound_analyst = hello.value().analyst_id;
+      }
+      answer_now(std::move(envelope));
+      return true;
+    }
+    case kMsgTypeStats:
+      return poll(DecodeStatsRequest(frame), &ServerEndpoint::HandleStats);
+    case kMsgTypeMetrics:
+      return poll(DecodeMetricsRequest(frame),
+                  &ServerEndpoint::HandleMetrics);
+    case kMsgTypeTrace:
+      return poll(DecodeTraceRequest(frame), &ServerEndpoint::HandleTrace);
+    default: {
+      // Requests, and any unexpected type, which the request decoder
+      // answers with a typed kMalformedRequest.
+      Result<QueryRequest> request = DecodeRequest(frame);
+      if (!request.ok()) return undecodable(request.status());
+      codec_counters_.frames_decoded->Add(1);
+      const QueryRequest& decoded = request.value();
+      const size_t count =
+          decoded.query_names.empty() ? 1 : decoded.query_names.size();
+      if (!auth_rejected(decoded.analyst_id, decoded.request_id, count)) {
+        // One reply future per named query, in order.
+        for (std::future<AnswerEnvelope>& reply :
+             HandleBatch(std::move(request).value())) {
+          replies->push_back(std::move(reply));
+        }
+      }
+      return true;
+    }
+  }
+}
+
 AnswerEnvelope ServerEndpoint::HandleSync(QueryRequest request) {
   return Handle(std::move(request)).get();
 }
 
-namespace {
-
-/// Rejections resolved before a request could ever be committed: their
-/// dispatch ids can never appear in the dispatcher's arrival log.
-/// kHalted is ambiguous — the mechanism's own halt IS a committed
-/// transcript entry, the QuotaManager's door prediction is not — and
-/// the documented "quota:" detail prefix is what tells them apart.
-bool NeverCommitted(ErrorCode error, const std::string& message) {
-  switch (error) {
-    case ErrorCode::kQuotaExceeded:
-    case ErrorCode::kShutdown:
-    case ErrorCode::kDeadlineExpired:
-      return true;
-    case ErrorCode::kHalted:
-      return message.find("quota:") != std::string::npos;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 AnswerEnvelope ServerEndpoint::Finish(uint8_t version, uint64_t request_id,
-                                      uint64_t dispatch_id,
                                       frontend::Served served) {
   AnswerEnvelope envelope;
   // Reply at the REQUEST's (validated, in-range) version: a newer
@@ -347,16 +409,6 @@ AnswerEnvelope ServerEndpoint::Finish(uint8_t version, uint64_t request_id,
   } else {
     envelope.error = ClassifyStatus(served.answer.status());
     envelope.message = served.answer.status().message();
-    // A record whose request was never committed would sit in arrivals_
-    // forever (quota-rejected floods would grow it without bound).
-    // Synchronous rejections reach this erase eagerly in Handle; only a
-    // deferred future abandoned without get() (departed client with an
-    // in-queue expiry) can still skip it — rare and per-event bounded.
-    if (options_.record_arrival_log &&
-        NeverCommitted(envelope.error, envelope.message)) {
-      std::lock_guard<std::mutex> lock(arrivals_mutex_);
-      arrivals_.erase(dispatch_id);
-    }
   }
   // The remaining-budget view: what the ledger says has been spent, and
   // how many hard rounds are left before the sparse vector halts. Both
@@ -380,16 +432,7 @@ void ServerEndpoint::Shutdown() { dispatcher_->Shutdown(); }
 
 std::vector<ServerEndpoint::ArrivalRecord> ServerEndpoint::ArrivalLog()
     const {
-  std::vector<ArrivalRecord> log;
-  std::lock_guard<std::mutex> lock(arrivals_mutex_);
-  for (uint64_t dispatch_id : dispatcher_->ArrivalLog()) {
-    auto it = arrivals_.find(dispatch_id);
-    PMW_CHECK_MSG(it != arrivals_.end(),
-                  "arrival log references unknown dispatch id "
-                      << dispatch_id);
-    log.push_back(it->second);
-  }
-  return log;
+  return dispatcher_->ArrivalLog();
 }
 
 std::string ServerEndpoint::Report() const {

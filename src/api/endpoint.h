@@ -1,19 +1,21 @@
 // api::ServerEndpoint — the server half of the protocol, and the one
 // front door of the serving stack.
 //
-//   transport --QueryRequest--> ServerEndpoint::Handle
+//   transport --frame--> HandleFrame (decode, hello/auth gate) --> Handle
 //     --resolve catalog name--> frontend::Dispatcher (admission, queue,
 //     batching, single-writer serve) --> AnswerEnvelope back out
 //
 // The endpoint owns the whole serving stack behind it: the ERM oracle,
 // the sharded serve::PmwService, the frontend::QuotaManager, the
-// content-stamped serve::PlanCache, and the Dispatcher thread. Handle() is
-// thread-safe (any number of transports / connection handlers may call
-// it); everything stateful funnels through the dispatcher's MPSC queue,
-// which preserves the PR 2/3 transcript guarantee end to end — replaying
-// the endpoint's recorded arrival log through sequential core::PmwCm
-// reproduces answers and the privacy ledger bit-identically
-// (tests/api_test.cc proves it through a real socket).
+// content-stamped serve::PlanCache, and the Dispatcher thread. It is also
+// the one place that says what a wire frame means: every server loop
+// (api/frame_server.h) and the verify-codec loopback hand their frames to
+// HandleFrame. Everything is thread-safe (any number of transports /
+// connection handlers may call in); everything stateful funnels through
+// the dispatcher's MPSC queue, which preserves the transcript guarantee
+// end to end — replaying the dispatcher's arrival log through
+// sequential core::PmwCm reproduces answers and the privacy ledger
+// bit-identically (tests/api_test.cc proves it through a real socket).
 
 #ifndef PMWCM_API_ENDPOINT_H_
 #define PMWCM_API_ENDPOINT_H_
@@ -21,9 +23,8 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "api/catalog.h"
@@ -74,10 +75,11 @@ struct ServerOptions {
   /// the endpoint is open: hello frames succeed as no-ops and requests
   /// need no prior hello — the trusted same-host story. Non-empty means
   /// every socket connection must open with a hello carrying this token;
-  /// the connection handler then binds that hello's analyst id to the
-  /// connection and rejects any frame speaking as someone else with
-  /// kAuthRequired (zero privacy cost) — which is what makes
-  /// QuotaManager accounting unspoofable over TCP.
+  /// HandleFrame then binds that hello's analyst id to the connection and
+  /// rejects any frame speaking as someone else with kAuthRequired (zero
+  /// privacy cost) — which is what makes QuotaManager accounting
+  /// unspoofable over TCP. In-process callers are trusted and skip the
+  /// gate.
   std::string auth_token;
   /// Latency/goodput objectives behind the scrape-time SLO burn gauges
   /// (obs/slo.h): each metrics scrape refreshes
@@ -90,9 +92,10 @@ struct ServerOptions {
   double slo_goodput_qps = 0.0;
 };
 
-/// Codec/transport traffic counters, incremented by the transports and
-/// server loops that move this endpoint's frames (the endpoint itself
-/// never encodes). Handles into the endpoint's metrics registry
+/// Codec/transport traffic counters: HandleFrame counts decoded frames
+/// and decode errors; the server loops and the verify-codec loopback
+/// count bytes and the frames they encode. Handles into the endpoint's
+/// metrics registry
 /// (pmw_api_*), so connection threads increment lock-free and one scrape
 /// covers the whole stack.
 struct CodecCounters {
@@ -105,6 +108,15 @@ struct CodecCounters {
   /// Resolves the five handles in `registry`; called once by the owning
   /// endpoint before any transport can observe the struct.
   void BindTo(obs::Registry* registry);
+};
+
+/// Connection-scoped identity state of one stream connection, owned by
+/// the connection's reader thread (so HandleFrame needs no lock for it).
+struct ConnState {
+  /// True once a hello frame was accepted on this connection.
+  bool hello_ok = false;
+  /// The analyst id the hello bound; every later frame must match.
+  std::string bound_analyst;
 };
 
 class ServerEndpoint {
@@ -169,15 +181,27 @@ class ServerEndpoint {
   /// Serves the hello/auth exchange: validates the token against
   /// options.auth_token (kAuthRequired envelope on mismatch or missing
   /// analyst id) and answers Ok when the connection may bind the
-  /// analyst. The CONNECTION handler owns the actual binding (the
-  /// endpoint is connection-agnostic); see FrameSink::ConnState. On an
-  /// open endpoint (empty token) hello always succeeds. Thread-safe,
-  /// zero privacy cost.
+  /// analyst. HandleFrame does the binding, into the caller's ConnState.
+  /// On an open endpoint (empty token) hello always succeeds.
+  /// Thread-safe, zero privacy cost.
   AnswerEnvelope HandleHello(const HelloRequest& request);
 
-  /// True when options.auth_token is set: connection handlers must
-  /// demand a successful hello before serving any other frame.
-  bool requires_hello() const { return !options_.auth_token.empty(); }
+  /// Serves one complete wire frame — what every frame means, in one
+  /// place: decodes it by message type, applies the hello/auth gate,
+  /// counts frames_decoded / decode_errors, and appends one reply future
+  /// per answer frame owed, in order (a batched request owes one per
+  /// name). Polls are answered synchronously, requests through Handle.
+  /// A frame that does not decode is answered with one typed error
+  /// envelope (request id 0: the id was not recoverable) and the call
+  /// returns false; the connection stays usable.
+  ///
+  /// `conn` is the connection's identity state; on an endpoint with an
+  /// auth token every non-hello frame must follow an accepted hello on
+  /// it and speak as the analyst that hello bound. Null means a trusted
+  /// in-process caller: no gate, and hello binds nothing. Thread-safe
+  /// across connections; one connection's frames come from one thread.
+  bool HandleFrame(std::string_view frame, ConnState* conn,
+                   std::vector<std::future<AnswerEnvelope>>* replies);
 
   /// Handle + wait: for transports and tests that want the envelope now.
   AnswerEnvelope HandleSync(QueryRequest request);
@@ -186,13 +210,11 @@ class ServerEndpoint {
   /// Idempotent.
   void Shutdown();
 
-  /// One committed request, in commit (arrival) order. Complete only
-  /// after Shutdown; empty unless options.record_arrival_log.
-  struct ArrivalRecord {
-    std::string analyst_id;
-    uint64_t client_request_id = 0;
-    std::string query_name;
-  };
+  /// The dispatcher's log of committed requests (analyst, client
+  /// request id, query name), in commit order — the replayable
+  /// transcript. Complete only after Shutdown; empty unless
+  /// options.record_arrival_log.
+  using ArrivalRecord = frontend::ArrivalRecord;
   std::vector<ArrivalRecord> ArrivalLog() const;
 
   serve::PmwService& service() { return *service_; }
@@ -215,7 +237,7 @@ class ServerEndpoint {
 
  private:
   AnswerEnvelope Finish(uint8_t version, uint64_t request_id,
-                        uint64_t dispatch_id, frontend::Served served);
+                        frontend::Served served);
   std::future<AnswerEnvelope> Ready(AnswerEnvelope envelope);
 
   const QueryCatalog* catalog_;
@@ -233,8 +255,6 @@ class ServerEndpoint {
   std::unique_ptr<serve::PmwService> service_;
   std::unique_ptr<frontend::QuotaManager> quota_;
   CodecCounters codec_counters_;
-  mutable std::mutex arrivals_mutex_;
-  std::unordered_map<uint64_t, ArrivalRecord> arrivals_;  // by dispatch id
   /// Last stack member: its thread starts consuming in the constructor.
   std::unique_ptr<frontend::Dispatcher> dispatcher_;
 };

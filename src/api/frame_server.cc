@@ -121,9 +121,8 @@ Result<int> ListenTcp(const std::string& host, uint16_t port,
     return MakeStatus(ErrorCode::kTransportError,
                       "socket() failed: " + std::string(strerror(errno)));
   }
-  // Restarted workers must be able to rebind their advertised port while
-  // old connections linger in TIME_WAIT — that restart path is the whole
-  // recovery story.
+  // A restarted front door must be able to rebind its port while the
+  // previous process's connections still sit in TIME_WAIT.
   const int enable = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
   if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=
@@ -197,8 +196,8 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
 // FrameServer
 // ---------------------------------------------------------------------------
 
-FrameServer::FrameServer(FrameSink* sink) : sink_(sink) {
-  PMW_CHECK(sink != nullptr);
+FrameServer::FrameServer(ServerEndpoint* endpoint) : endpoint_(endpoint) {
+  PMW_CHECK(endpoint != nullptr);
 }
 
 FrameServer::~FrameServer() { Shutdown(); }
@@ -259,17 +258,18 @@ void FrameServer::AcceptLoop() {
 }
 
 void FrameServer::ReadLoop(Connection* connection) {
+  CodecCounters& counters = endpoint_->codec_counters();
   std::string buffer;
   bool drop = false;
   while (!drop) {
     const ssize_t n = ReadSome(connection->fd, &buffer);
     if (n <= 0) break;  // EOF or error: peer hung up
-    sink_->OnBytesIn(n);
+    counters.bytes_in->Add(n);
     FrameStatus framing;
     const size_t consumed =
         WalkFrames(buffer, &framing, [&](std::string_view frame) {
           std::vector<std::future<AnswerEnvelope>> replies;
-          sink_->OnFrame(frame, &connection->state, &replies);
+          endpoint_->HandleFrame(frame, &connection->state, &replies);
           {
             std::lock_guard<std::mutex> lock(connection->mutex);
             for (std::future<AnswerEnvelope>& reply : replies) {
@@ -281,7 +281,7 @@ void FrameServer::ReadLoop(Connection* connection) {
     buffer.erase(0, consumed);
     if (framing == FrameStatus::kMalformed) {
       // The length prefix itself is garbage: no way to resynchronize.
-      sink_->OnDecodeError();
+      counters.decode_errors->Add(1);
       drop = true;
     }
   }
@@ -294,6 +294,7 @@ void FrameServer::ReadLoop(Connection* connection) {
 }
 
 void FrameServer::WriteLoop(Connection* connection) {
+  CodecCounters& counters = endpoint_->codec_counters();
   std::string wire;
   for (;;) {
     std::future<AnswerEnvelope> next;
@@ -321,7 +322,8 @@ void FrameServer::WriteLoop(Connection* connection) {
       EncodeAnswer(oversized, &wire);
     }
     if (!WriteAll(connection->fd, wire.data(), wire.size())) break;
-    sink_->OnReplyEncoded(static_cast<long long>(wire.size()));
+    counters.frames_encoded->Add(1);
+    counters.bytes_out->Add(static_cast<long long>(wire.size()));
   }
   // Wakes a reader still blocked in read(); the reader is always the
   // other live thread, so `active` cannot reach 0 before it exits too.
@@ -345,9 +347,8 @@ void FrameServer::Shutdown() {
   std::lock_guard<std::mutex> lock(connections_mutex_);
   for (auto& connection : connections_) {
     // Stop the reader (no new requests); the writer drains what's
-    // pending — those replies resolve as long as the sink's backing
-    // endpoint is still up, which is why servers shut down before
-    // endpoints.
+    // pending — those replies resolve as long as the endpoint is still
+    // up, which is why servers shut down before endpoints.
     ::shutdown(connection->fd, SHUT_RD);
     if (connection->reader.joinable()) connection->reader.join();
     if (connection->writer.joinable()) connection->writer.join();

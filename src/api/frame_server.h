@@ -4,20 +4,19 @@
 // Framing policy (length-prefix walk, malformed-stream handling, reply
 // write-back order) lives here once so adversarial-bytes behavior cannot
 // diverge between Unix and TCP — the property tests/api_codec_test.cc
-// pins is transport-independent.
+// pins is transport-independent. What a frame MEANS lives in one place
+// too, ServerEndpoint::HandleFrame; the server here only moves bytes.
 //
-//   FrameServer                       FrameSink (per deployment)
-//   listener fd -> accept loop ->     OnFrame(bytes, conn state) decides
-//   per-connection reader thread      what the frames MEAN: the analyst
-//   (frame walk -> sink) + writer     front door dispatches to a
-//   thread (encode replies as         ServerEndpoint
-//   their futures resolve)
+//   FrameServer
+//   listener fd -> accept loop -> per-connection reader thread (frame
+//   walk -> ServerEndpoint::HandleFrame, reply futures queued in arrival
+//   order) + writer thread (encode replies as their futures resolve)
 //
-// Per-connection identity rides in FrameSink::ConnState: the hello/auth
-// exchange binds an analyst id to the connection, and the sink enforces
-// that every later frame speaks as that analyst (endpoint.h documents
-// the policy). The state is owned by the connection's reader thread —
-// sinks never need their own locking for it.
+// Per-connection identity rides in the connection's ConnState
+// (api/endpoint.h): the hello/auth exchange binds an analyst id to the
+// connection, and HandleFrame enforces that every later frame speaks as
+// that analyst. The state is owned by the connection's reader thread, so
+// it needs no lock.
 
 #ifndef PMWCM_API_FRAME_SERVER_H_
 #define PMWCM_API_FRAME_SERVER_H_
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "api/codec.h"
+#include "api/endpoint.h"
 #include "api/envelope.h"
 #include "common/result.h"
 
@@ -79,40 +79,15 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port);
 
 // --- the shared frame server ----------------------------------------------
 
-/// What a FrameServer deployment does with decoded-enough frames.
-/// OnFrame runs on the connection's reader thread; replies it pushes are
-/// written back in FIFO order as their futures resolve.
-class FrameSink {
- public:
-  /// Connection-scoped identity state, owned by the reader thread.
-  struct ConnState {
-    /// True once a hello frame was accepted on this connection.
-    bool hello_ok = false;
-    /// The analyst id the hello bound; every later frame must match.
-    std::string bound_analyst;
-  };
-
-  virtual ~FrameSink() = default;
-
-  /// Handles one complete frame; pushes zero or more reply futures (one
-  /// answer frame is written per future, in push order).
-  virtual void OnFrame(std::string_view frame, ConnState* conn,
-                       std::vector<std::future<AnswerEnvelope>>* replies) = 0;
-
-  /// Byte/error accounting hooks (the front door feeds CodecCounters;
-  /// the defaults drop them).
-  virtual void OnBytesIn(long long bytes) { (void)bytes; }
-  virtual void OnReplyEncoded(long long bytes) { (void)bytes; }
-  virtual void OnDecodeError() {}
-};
-
 /// Accept loop + per-connection reader/writer threads over an
-/// already-listening socket. Address family agnostic: SocketServer hands
-/// it a Unix listener, TcpServer a TCP one.
+/// already-listening socket, serving one ServerEndpoint. Address family
+/// agnostic: SocketServer hands it a Unix listener, TcpServer a TCP one.
+/// Counts the connection traffic into the endpoint's CodecCounters: bytes
+/// read, reply frames and bytes written, and unrecoverable framing.
 class FrameServer {
  public:
-  /// `sink` must outlive the server.
-  explicit FrameServer(FrameSink* sink);
+  /// `endpoint` must outlive the server.
+  explicit FrameServer(ServerEndpoint* endpoint);
   ~FrameServer();
 
   FrameServer(const FrameServer&) = delete;
@@ -140,7 +115,7 @@ class FrameServer {
     /// Live threads (reader + writer); 0 means the connection is over
     /// and the acceptor may reap it.
     std::atomic<int> active{2};
-    FrameSink::ConnState state;
+    ConnState state;
   };
 
   void AcceptLoop();
@@ -151,7 +126,7 @@ class FrameServer {
   /// departed client until Shutdown.
   void ReapFinished();
 
-  FrameSink* sink_;
+  ServerEndpoint* endpoint_;
   int listen_fd_ = -1;
   std::atomic<bool> shutdown_{false};
   std::mutex shutdown_mutex_;  // serializes Shutdown callers

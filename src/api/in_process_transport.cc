@@ -35,31 +35,57 @@ std::future<AnswerEnvelope> InProcessTransport::VerifyReply(
       });
 }
 
+std::vector<std::future<AnswerEnvelope>> InProcessTransport::ServeFrame(
+    const std::string& wire, uint64_t first_id, size_t count) {
+  CodecCounters& counters = endpoint_->codec_counters();
+  counters.frames_encoded->Add(1);
+  counters.bytes_in->Add(static_cast<long long>(wire.size()));
+  std::vector<std::future<AnswerEnvelope>> served;
+  // Null connection state: a trusted in-process caller, no auth gate.
+  const bool decoded = endpoint_->HandleFrame(wire, nullptr, &served);
+  std::vector<std::future<AnswerEnvelope>> replies;
+  replies.reserve(count);
+  if (!decoded) {
+    // The handler answered the frame once, without the id it could not
+    // recover; every id the frame carried gets that typed error.
+    const AnswerEnvelope rejected = served.front().get();
+    for (size_t i = 0; i < count; ++i) {
+      AnswerEnvelope envelope = rejected;
+      envelope.request_id = first_id + i;
+      std::promise<AnswerEnvelope> promise;
+      promise.set_value(std::move(envelope));
+      replies.push_back(promise.get_future());
+    }
+    return replies;
+  }
+  for (std::future<AnswerEnvelope>& reply : served) {
+    replies.push_back(VerifyReply(std::move(reply)));
+  }
+  return replies;
+}
+
+template <typename Request>
+std::future<AnswerEnvelope> InProcessTransport::Poll(
+    const Request& request,
+    AnswerEnvelope (ServerEndpoint::*serve)(const Request&),
+    void (*encode)(const Request&, std::string*)) {
+  if (verify_codec_) {
+    std::string wire;
+    encode(request, &wire);
+    return std::move(ServeFrame(wire, request.request_id, 1).front());
+  }
+  std::promise<AnswerEnvelope> promise;
+  promise.set_value((endpoint_->*serve)(request));
+  return promise.get_future();
+}
+
 std::future<AnswerEnvelope> InProcessTransport::Send(QueryRequest request) {
   if (!verify_codec_) {
     return endpoint_->Handle(std::move(request));
   }
-  // Verify-codec mode: the request crosses the real byte format both
-  // ways. Decode failures surface exactly as the socket server would
-  // surface them — a typed error envelope, never an exception.
-  CodecCounters& counters = endpoint_->codec_counters();
   std::string wire;
   EncodeRequest(request, &wire);
-  counters.frames_encoded->Add(1);
-  counters.bytes_in->Add(static_cast<long long>(wire.size()));
-  Result<QueryRequest> decoded = DecodeRequest(wire);
-  if (!decoded.ok()) {
-    counters.decode_errors->Add(1);
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
-    envelope.message = decoded.status().message();
-    std::promise<AnswerEnvelope> promise;
-    promise.set_value(std::move(envelope));
-    return promise.get_future();
-  }
-  counters.frames_decoded->Add(1);
-  return VerifyReply(endpoint_->Handle(std::move(decoded).value()));
+  return std::move(ServeFrame(wire, request.request_id, 1).front());
 }
 
 std::vector<std::future<AnswerEnvelope>> InProcessTransport::SendBatch(
@@ -67,129 +93,26 @@ std::vector<std::future<AnswerEnvelope>> InProcessTransport::SendBatch(
   if (!verify_codec_) {
     return endpoint_->HandleBatch(std::move(request));
   }
-  // Verify-codec mode: the batch crosses the wire as its real shape —
-  // ONE request frame carrying every name — then fans out server-side.
-  CodecCounters& counters = endpoint_->codec_counters();
-  const size_t names = request.query_names.size();
+  // The batch crosses the wire as its real shape — ONE request frame
+  // carrying every name — then fans out server-side.
   std::string wire;
   EncodeRequest(request, &wire);
-  counters.frames_encoded->Add(1);
-  counters.bytes_in->Add(static_cast<long long>(wire.size()));
-  Result<QueryRequest> decoded = DecodeRequest(wire);
-  if (!decoded.ok()) {
-    counters.decode_errors->Add(1);
-    std::vector<std::future<AnswerEnvelope>> replies;
-    replies.reserve(names);
-    for (size_t i = 0; i < names; ++i) {
-      AnswerEnvelope envelope;
-      envelope.request_id = request.request_id + i;
-      envelope.error = ClassifyStatus(decoded.status());
-      envelope.message = decoded.status().message();
-      std::promise<AnswerEnvelope> promise;
-      promise.set_value(std::move(envelope));
-      replies.push_back(promise.get_future());
-    }
-    return replies;
-  }
-  counters.frames_decoded->Add(1);
-  std::vector<std::future<AnswerEnvelope>> served =
-      endpoint_->HandleBatch(std::move(decoded).value());
-  std::vector<std::future<AnswerEnvelope>> replies;
-  replies.reserve(served.size());
-  for (std::future<AnswerEnvelope>& reply : served) {
-    replies.push_back(VerifyReply(std::move(reply)));
-  }
-  return replies;
+  return ServeFrame(wire, request.request_id, request.query_names.size());
 }
 
 std::future<AnswerEnvelope> InProcessTransport::SendStats(
     StatsRequest request) {
-  std::promise<AnswerEnvelope> promise;
-  std::future<AnswerEnvelope> future = promise.get_future();
-  if (!verify_codec_) {
-    promise.set_value(endpoint_->HandleStats(request));
-    return future;
-  }
-  CodecCounters& counters = endpoint_->codec_counters();
-  std::string wire;
-  EncodeStatsRequest(request, &wire);
-  counters.frames_encoded->Add(1);
-  counters.bytes_in->Add(static_cast<long long>(wire.size()));
-  Result<StatsRequest> decoded = DecodeStatsRequest(wire);
-  if (!decoded.ok()) {
-    counters.decode_errors->Add(1);
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
-    envelope.message = decoded.status().message();
-    promise.set_value(std::move(envelope));
-    return future;
-  }
-  counters.frames_decoded->Add(1);
-  std::promise<AnswerEnvelope> served;
-  std::future<AnswerEnvelope> inner = served.get_future();
-  served.set_value(endpoint_->HandleStats(std::move(decoded).value()));
-  return VerifyReply(std::move(inner));
+  return Poll(request, &ServerEndpoint::HandleStats, &EncodeStatsRequest);
 }
 
 std::future<AnswerEnvelope> InProcessTransport::SendMetrics(
     MetricsRequest request) {
-  std::promise<AnswerEnvelope> promise;
-  std::future<AnswerEnvelope> future = promise.get_future();
-  if (!verify_codec_) {
-    promise.set_value(endpoint_->HandleMetrics(request));
-    return future;
-  }
-  CodecCounters& counters = endpoint_->codec_counters();
-  std::string wire;
-  EncodeMetricsRequest(request, &wire);
-  counters.frames_encoded->Add(1);
-  counters.bytes_in->Add(static_cast<long long>(wire.size()));
-  Result<MetricsRequest> decoded = DecodeMetricsRequest(wire);
-  if (!decoded.ok()) {
-    counters.decode_errors->Add(1);
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
-    envelope.message = decoded.status().message();
-    promise.set_value(std::move(envelope));
-    return future;
-  }
-  counters.frames_decoded->Add(1);
-  std::promise<AnswerEnvelope> served;
-  std::future<AnswerEnvelope> inner = served.get_future();
-  served.set_value(endpoint_->HandleMetrics(std::move(decoded).value()));
-  return VerifyReply(std::move(inner));
+  return Poll(request, &ServerEndpoint::HandleMetrics, &EncodeMetricsRequest);
 }
 
 std::future<AnswerEnvelope> InProcessTransport::SendTrace(
     TraceRequest request) {
-  std::promise<AnswerEnvelope> promise;
-  std::future<AnswerEnvelope> future = promise.get_future();
-  if (!verify_codec_) {
-    promise.set_value(endpoint_->HandleTrace(request));
-    return future;
-  }
-  CodecCounters& counters = endpoint_->codec_counters();
-  std::string wire;
-  EncodeTraceRequest(request, &wire);
-  counters.frames_encoded->Add(1);
-  counters.bytes_in->Add(static_cast<long long>(wire.size()));
-  Result<TraceRequest> decoded = DecodeTraceRequest(wire);
-  if (!decoded.ok()) {
-    counters.decode_errors->Add(1);
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
-    envelope.message = decoded.status().message();
-    promise.set_value(std::move(envelope));
-    return future;
-  }
-  counters.frames_decoded->Add(1);
-  std::promise<AnswerEnvelope> served;
-  std::future<AnswerEnvelope> inner = served.get_future();
-  served.set_value(endpoint_->HandleTrace(std::move(decoded).value()));
-  return VerifyReply(std::move(inner));
+  return Poll(request, &ServerEndpoint::HandleTrace, &EncodeTraceRequest);
 }
 
 }  // namespace api

@@ -6,174 +6,15 @@
 #include <utility>
 
 #include "api/codec.h"
-#include "common/check.h"
 
 namespace pmw {
 namespace api {
-namespace {
-
-// ---------------------------------------------------------------------------
-// EndpointFrameSink — what analyst-facing frames MEAN
-// ---------------------------------------------------------------------------
-
-/// The front-door dispatch: decodes each frame, routes it to the
-/// ServerEndpoint, and enforces the hello/auth connection binding.
-/// Shared verbatim by SocketServer and TcpServer, which is the whole
-/// point — the protocol's semantics cannot depend on the address family.
-class EndpointFrameSink : public FrameSink {
- public:
-  explicit EndpointFrameSink(ServerEndpoint* endpoint) : endpoint_(endpoint) {
-    PMW_CHECK(endpoint != nullptr);
-  }
-
-  void OnFrame(std::string_view frame, ConnState* conn,
-               std::vector<std::future<AnswerEnvelope>>* replies) override {
-    CodecCounters& counters = endpoint_->codec_counters();
-    // Typed polls (stats, metrics scrapes, trace polls) are answered
-    // synchronously — they only read counters and rings — as one normal
-    // answer frame each. A decode failure on any of them answers with a
-    // typed error envelope, same as a request.
-    const auto answer_now = [replies](AnswerEnvelope envelope) {
-      std::promise<AnswerEnvelope> ready;
-      ready.set_value(std::move(envelope));
-      replies->push_back(ready.get_future());
-    };
-    const auto poll_error = [&](const Status& status) {
-      counters.decode_errors->Add(1);
-      AnswerEnvelope envelope;
-      envelope.error = ClassifyStatus(status);
-      envelope.message = status.message();
-      return envelope;
-    };
-    // The connection-identity gate: on an endpoint with an auth token,
-    // every non-hello frame must follow an accepted hello AND speak as
-    // the analyst that hello bound — otherwise QuotaManager accounting
-    // could be spoofed by writing someone else's id into a request.
-    // Rejections cost zero privacy (they never reach the mechanism).
-    const auto auth_rejected = [&](const std::string& analyst,
-                                   uint64_t first_id, size_t count) {
-      if (!endpoint_->requires_hello()) return false;
-      std::string why;
-      if (!conn->hello_ok) {
-        why =
-            "endpoint: connection is not authenticated; send a hello "
-            "frame first";
-      } else if (conn->bound_analyst != analyst) {
-        why = "endpoint: request analyst '" + analyst +
-              "' does not match the connection's bound analyst '" +
-              conn->bound_analyst + "'";
-      } else {
-        return false;
-      }
-      for (size_t i = 0; i < count; ++i) {
-        AnswerEnvelope envelope;
-        envelope.request_id = first_id + i;
-        envelope.error = ErrorCode::kAuthRequired;
-        envelope.message = why;
-        answer_now(std::move(envelope));
-      }
-      return true;
-    };
-    const uint8_t msg_type = PeekMsgType(frame);
-    if (msg_type == kMsgTypeHello) {
-      Result<HelloRequest> hello = DecodeHelloRequest(frame);
-      if (hello.ok()) {
-        counters.frames_decoded->Add(1);
-        AnswerEnvelope envelope = endpoint_->HandleHello(hello.value());
-        if (envelope.ok()) {
-          conn->hello_ok = true;
-          conn->bound_analyst = hello.value().analyst_id;
-        }
-        answer_now(std::move(envelope));
-      } else {
-        answer_now(poll_error(hello.status()));
-      }
-    } else if (msg_type == kMsgTypeStats) {
-      Result<StatsRequest> stats = DecodeStatsRequest(frame);
-      if (stats.ok()) {
-        counters.frames_decoded->Add(1);
-        if (!auth_rejected(stats.value().analyst_id,
-                           stats.value().request_id, 1)) {
-          answer_now(endpoint_->HandleStats(stats.value()));
-        }
-      } else {
-        answer_now(poll_error(stats.status()));
-      }
-    } else if (msg_type == kMsgTypeMetrics) {
-      Result<MetricsRequest> metrics = DecodeMetricsRequest(frame);
-      if (metrics.ok()) {
-        counters.frames_decoded->Add(1);
-        if (!auth_rejected(metrics.value().analyst_id,
-                           metrics.value().request_id, 1)) {
-          answer_now(endpoint_->HandleMetrics(metrics.value()));
-        }
-      } else {
-        answer_now(poll_error(metrics.status()));
-      }
-    } else if (msg_type == kMsgTypeTrace) {
-      Result<TraceRequest> trace = DecodeTraceRequest(frame);
-      if (trace.ok()) {
-        counters.frames_decoded->Add(1);
-        if (!auth_rejected(trace.value().analyst_id,
-                           trace.value().request_id, 1)) {
-          answer_now(endpoint_->HandleTrace(trace.value()));
-        }
-      } else {
-        answer_now(poll_error(trace.status()));
-      }
-    } else {
-      Result<QueryRequest> request = DecodeRequest(frame);
-      if (request.ok()) {
-        counters.frames_decoded->Add(1);
-        const QueryRequest& decoded = request.value();
-        const size_t count =
-            decoded.query_names.empty() ? 1 : decoded.query_names.size();
-        if (!auth_rejected(decoded.analyst_id, decoded.request_id, count)) {
-          // HandleBatch serves single and batched frames alike: one
-          // reply future per named query, in order.
-          *replies = endpoint_->HandleBatch(std::move(request).value());
-        }
-      } else {
-        // Typed decode error (malformed fields, foreign version):
-        // answer it like any other request instead of killing the
-        // connection.
-        answer_now(poll_error(request.status()));
-      }
-    }
-  }
-
-  void OnBytesIn(long long bytes) override {
-    endpoint_->codec_counters().bytes_in->Add(bytes);
-  }
-
-  void OnReplyEncoded(long long bytes) override {
-    CodecCounters& counters = endpoint_->codec_counters();
-    counters.frames_encoded->Add(1);
-    counters.bytes_out->Add(bytes);
-  }
-
-  void OnDecodeError() override {
-    endpoint_->codec_counters().decode_errors->Add(1);
-  }
-
- private:
-  ServerEndpoint* endpoint_;
-};
-
-std::unique_ptr<FrameSink> MakeEndpointSink(ServerEndpoint* endpoint) {
-  return std::make_unique<EndpointFrameSink>(endpoint);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // SocketServer (Unix-domain)
 // ---------------------------------------------------------------------------
 
 SocketServer::SocketServer(ServerEndpoint* endpoint, std::string socket_path)
-    : path_(std::move(socket_path)),
-      sink_(MakeEndpointSink(endpoint)),
-      server_(sink_.get()) {}
+    : path_(std::move(socket_path)), server_(endpoint) {}
 
 SocketServer::~SocketServer() { Shutdown(); }
 
@@ -198,10 +39,7 @@ void SocketServer::Shutdown() {
 
 TcpServer::TcpServer(ServerEndpoint* endpoint, std::string host,
                      uint16_t port)
-    : host_(std::move(host)),
-      requested_port_(port),
-      sink_(MakeEndpointSink(endpoint)),
-      server_(sink_.get()) {}
+    : host_(std::move(host)), requested_port_(port), server_(endpoint) {}
 
 TcpServer::~TcpServer() { Shutdown(); }
 

@@ -4,10 +4,11 @@
 //
 //   StreamTransport (client)                FrameServer (server core)
 //   Send: encode frame, register            accept loop -> per-connection
-//   promise by request id, write            reader (frame walk -> sink
-//   under the write lock; a reader          dispatch, enqueue reply
-//   thread decodes reply frames and         future) + writer (wait FIFO,
-//   resolves the matching promise           encode, write back)
+//   promise by request id, write            reader (frame walk ->
+//   under the write lock; a reader          ServerEndpoint::HandleFrame,
+//   thread decodes reply frames and         enqueue reply futures) +
+//   resolves the matching promise           writer (wait FIFO, encode,
+//                                           write back)
 //
 // Unix-domain and TCP are the SAME protocol over the same framing path
 // (api/frame_server.h): SocketServer/SocketTransport and
@@ -34,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -77,7 +77,6 @@ class SocketServer {
   const std::string path_;
   /// True once Start() has bound the path (what Shutdown may unlink).
   bool bound_ = false;
-  std::unique_ptr<FrameSink> sink_;
   FrameServer server_;
 };
 
@@ -110,7 +109,6 @@ class TcpServer {
   const std::string host_;
   const uint16_t requested_port_;
   uint16_t bound_port_ = 0;
-  std::unique_ptr<FrameSink> sink_;
   FrameServer server_;
 };
 

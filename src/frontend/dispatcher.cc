@@ -66,14 +66,16 @@ Dispatcher::~Dispatcher() { Shutdown(); }
 
 std::future<Served> Dispatcher::Submit(
     const std::string& analyst_id, const convex::CmQuery& query,
-    uint64_t* request_id, std::chrono::steady_clock::time_point deadline) {
+    uint64_t client_request_id, std::string query_name,
+    std::chrono::steady_clock::time_point deadline) {
   Request request;
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.analyst_id = analyst_id;
+  request.client_request_id = client_request_id;
+  request.query_name = std::move(query_name);
   request.query = query;
   request.deadline = deadline;
   std::future<Served> future = request.promise.get_future();
-  if (request_id != nullptr) *request_id = request.id;
   m_.submitted->Add(1);
 
   if (shutdown_.load(std::memory_order_acquire)) {
@@ -123,16 +125,7 @@ void Dispatcher::DispatchLoop() {
     live.clear();
     queries.clear();
     tags.clear();
-    const bool popped =
-        options_.fair_round_robin
-            ? queue_.PopBatchRoundRobin(
-                  &batch, options_.max_batch, options_.max_wait,
-                  [](const Request& request) -> const std::string& {
-                    return request.analyst_id;
-                  })
-            : queue_.PopBatch(&batch, options_.max_batch,
-                              options_.max_wait);
-    if (!popped) {
+    if (!queue_.PopBatch(&batch, options_.max_batch, options_.max_wait)) {
       return;  // closed and drained
     }
     // Deadline sweep at the last instant before serving: a request whose
@@ -207,10 +200,13 @@ void Dispatcher::DispatchLoop() {
             .count());
     PMW_CHECK_EQ(results.size(), live.size());
     PMW_CHECK_EQ(outcomes.size(), live.size());
+    // Exactly the requests the mechanism just committed, in commit
+    // order: expired ones were swept above, rejected ones never queued.
     if (options_.record_arrival_log) {
       std::lock_guard<std::mutex> lock(arrival_log_mutex_);
-      for (const Request& request : live) {
-        arrival_log_.push_back(request.id);
+      for (Request& request : live) {
+        arrival_log_.push_back({request.analyst_id, request.client_request_id,
+                                std::move(request.query_name)});
       }
     }
     // Recorded before any promise resolves, so a woken waiter always
@@ -273,7 +269,7 @@ void Dispatcher::Shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-std::vector<uint64_t> Dispatcher::ArrivalLog() const {
+std::vector<ArrivalRecord> Dispatcher::ArrivalLog() const {
   std::lock_guard<std::mutex> lock(arrival_log_mutex_);
   return arrival_log_;
 }
@@ -290,17 +286,6 @@ DispatcherStats Dispatcher::stats() const {
   s.queue_wait_us = m_.queue_wait_us->Snap().Moments();
   s.serve_us = m_.serve_us->Snap().Moments();
   return s;
-}
-
-AnalystSession::AnalystSession(Dispatcher* dispatcher, std::string analyst_id)
-    : dispatcher_(dispatcher), analyst_id_(std::move(analyst_id)) {
-  PMW_CHECK(dispatcher != nullptr);
-}
-
-std::future<Served> AnalystSession::Submit(
-    const convex::CmQuery& query, uint64_t* request_id,
-    std::chrono::steady_clock::time_point deadline) {
-  return dispatcher_->Submit(analyst_id_, query, request_id, deadline);
 }
 
 }  // namespace frontend

@@ -59,16 +59,8 @@ struct DispatcherOptions {
   size_t max_batch = 64;
   /// ...or this long after the first queued request, whichever is first.
   std::chrono::microseconds max_wait{500};
-  /// Per-analyst round-robin fairness in the batch-pop policy: when a
-  /// contended batch window holds more requests than max_batch, slots
-  /// are dealt one per analyst per cycle (MpscQueue::PopBatchRoundRobin)
-  /// instead of front-of-queue FIFO, so one chatty analyst cannot starve
-  /// the window. Off by default: FIFO pops are cheaper and fairness only
-  /// matters under sustained multi-analyst backpressure. Either policy
-  /// keeps transcripts replayable — the commit order IS the arrival log.
-  bool fair_round_robin = false;
-  /// Record the ids of committed requests in commit order (ArrivalLog);
-  /// tests replay the log through sequential PmwCm.
+  /// Record every committed request in commit order (ArrivalLog); the
+  /// log replays through sequential PmwCm.
   bool record_arrival_log = false;
   /// Span sink (not owned; null disables tracing). The dispatcher
   /// assembles each served request's span tree — queue wait, batch
@@ -113,6 +105,15 @@ struct DispatcherStats {
   std::string ToString() const;
 };
 
+/// One committed request, as the arrival log records it: who asked,
+/// the id the client correlates the reply by, and the catalog name of
+/// the query — what replaying the transcript needs.
+struct ArrivalRecord {
+  std::string analyst_id;
+  uint64_t client_request_id = 0;
+  std::string query_name;
+};
+
 /// What a Submit future resolves with: the released theta (or typed
 /// error) plus the serving metadata the api layer forwards to clients.
 struct Served {
@@ -150,25 +151,28 @@ class Dispatcher {
   /// Submits one query on behalf of `analyst_id`. Thread-safe; blocks
   /// only when the queue is full. The future resolves with the released
   /// theta or a typed error (quota rejection, deadline expiry, mechanism
-  /// kHalted / kResourceExhausted, or shutdown). If `request_id` is
-  /// non-null it receives the request's unique id (what ArrivalLog
-  /// records). A non-default `deadline` bounds how long the request may
-  /// wait in the queue: if it expires before the dispatcher hands the
-  /// request to the service, the future resolves with kDeadlineExpired,
-  /// the quota slot is refunded, and the mechanism never sees the query
-  /// (zero privacy cost).
+  /// kHalted / kResourceExhausted, or shutdown). `client_request_id` and
+  /// `query_name` are only recorded: they are what ArrivalLog holds for
+  /// the request once it commits. A non-default `deadline` bounds how
+  /// long the request may wait in the queue: if it expires before the
+  /// dispatcher hands the request to the service, the future resolves
+  /// with kDeadlineExpired, the quota slot is refunded, and the mechanism
+  /// never sees the query (zero privacy cost).
   std::future<Served> Submit(
       const std::string& analyst_id, const convex::CmQuery& query,
-      uint64_t* request_id = nullptr,
+      uint64_t client_request_id = 0, std::string query_name = {},
       std::chrono::steady_clock::time_point deadline = {});
 
   /// Stops accepting work, serves everything already queued, and joins
   /// the dispatcher thread. Idempotent and safe to call from any thread.
   void Shutdown();
 
-  /// Ids of committed requests in commit (arrival) order. Complete only
-  /// after Shutdown; empty unless options.record_arrival_log.
-  std::vector<uint64_t> ArrivalLog() const;
+  /// Committed requests in commit (arrival) order — the mechanism's own
+  /// kHalted / kResourceExhausted answers included; quota and shutdown
+  /// rejections and deadline expiries, which never reach it, excluded.
+  /// Complete only after Shutdown; empty unless
+  /// options.record_arrival_log.
+  std::vector<ArrivalRecord> ArrivalLog() const;
 
   /// The front-door counters, rebuilt from registry reads: safe from any
   /// thread while the dispatcher keeps serving. Counts cover every
@@ -178,8 +182,11 @@ class Dispatcher {
 
  private:
   struct Request {
+    /// Dispatcher-unique; the trace id of the request's span tree.
     uint64_t id = 0;
     std::string analyst_id;
+    uint64_t client_request_id = 0;
+    std::string query_name;
     convex::CmQuery query;
     /// steady_clock epoch (the default) means no deadline.
     std::chrono::steady_clock::time_point deadline{};
@@ -215,27 +222,8 @@ class Dispatcher {
   std::atomic<bool> shutdown_{false};
   std::mutex shutdown_mutex_;  // serializes Shutdown callers
   mutable std::mutex arrival_log_mutex_;
-  std::vector<uint64_t> arrival_log_;
+  std::vector<ArrivalRecord> arrival_log_;
   std::thread dispatcher_;  // last member: starts in the constructor
-};
-
-/// A named handle binding one analyst's identity to a dispatcher — what
-/// client code holds. Sessions are cheap; one per analyst thread.
-class AnalystSession {
- public:
-  /// `dispatcher` must outlive the session.
-  AnalystSession(Dispatcher* dispatcher, std::string analyst_id);
-
-  /// Submit under this session's identity (see Dispatcher::Submit).
-  std::future<Served> Submit(
-      const convex::CmQuery& query, uint64_t* request_id = nullptr,
-      std::chrono::steady_clock::time_point deadline = {});
-
-  const std::string& analyst_id() const { return analyst_id_; }
-
- private:
-  Dispatcher* dispatcher_;
-  std::string analyst_id_;
 };
 
 }  // namespace frontend

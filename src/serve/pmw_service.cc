@@ -104,8 +104,7 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
                 ? std::make_unique<ThreadPool>(serve_options.num_threads)
                 : nullptr),
       executor_(pool_.get(), &cm_),
-      router_(pool_.get()),
-      record_spans_(serve_options.record_spans) {
+      router_(pool_.get()) {
   // Partition the hypothesis and route its per-shard MW-update work
   // through the pool. A single shard keeps the inline (sequential) path.
   cm_.ConfigureSharding(
@@ -289,7 +288,6 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     if (analyst != nullptr) analyst->queries->Add(1);
     QueryOutcome* outcome = outcomes != nullptr ? &(*outcomes)[j] : nullptr;
     if (outcome != nullptr) outcome->epoch = cm_.hypothesis_version();
-    const bool spans = record_spans_ && outcome != nullptr;
 
     if (cm_.WillReject()) {
       Result<core::PmwAnswer> rejected =
@@ -311,11 +309,11 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     if (outcome != nullptr && epoch != nullptr) {
       outcome->cache_hit = prepared.plan_from_cache[plan_slot] != 0;
     }
-    if (spans && shards > 1) router_.ResetWindow(shards);
+    if (outcome != nullptr && shards > 1) router_.ResetWindow(shards);
     WallTimer commit_timer;
     Result<core::PmwAnswer> answer = cm_.AnswerPrepared(
         query, plan, epoch != nullptr ? epoch->snapshot.get() : nullptr);
-    if (spans) {
+    if (outcome != nullptr) {
       outcome->commit_us =
           static_cast<uint64_t>(commit_timer.ElapsedSeconds() * 1e6);
       outcome->solve_us = cm_.last_answer_timing().solve_us;
@@ -332,7 +330,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
       m_.updates->Add(1);
       if (analyst != nullptr) analyst->updates->Add(1);
       if (outcome != nullptr) outcome->hard_round = true;
-      if (spans && shards > 1) {
+      if (outcome != nullptr && shards > 1) {
         const std::vector<uint64_t>& window = router_.WindowShardUs();
         outcome->shard_us.reserve(window.size());
         for (uint64_t us : window) {
@@ -361,7 +359,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
 
   // Prepare ran batch-wide (one fan-out per epoch), so its cost is a
   // batch-level span — the same shape as the dispatcher's serve_us.
-  if (outcomes != nullptr && record_spans_) {
+  if (outcomes != nullptr) {
     for (QueryOutcome& outcome : *outcomes) {
       outcome.prepare_us = batch_prepare_us;
     }

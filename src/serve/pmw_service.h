@@ -73,10 +73,6 @@ struct ServeOptions {
   /// embedded/test configuration. The api endpoint passes its own so one
   /// registry spans serve + frontend + transport.
   obs::Registry* registry = nullptr;
-  /// Record per-query span timings (prepare/solve/mw/commit + per-shard
-  /// MW) into QueryOutcome. Pure bookkeeping — never influences answers
-  /// or transcripts; off saves a few clock reads per commit.
-  bool record_spans = true;
 };
 
 /// Serving counters, as a value rebuilt from the service's obs::Registry
@@ -161,7 +157,7 @@ struct QueryOutcome {
   bool hard_round = false;
   /// True when the query's plan was served from the cross-batch cache.
   bool cache_hit = false;
-  /// Span timings (ServeOptions::record_spans; zeros when off). All
+  /// Span timings, recorded whenever outcomes are requested. All
   /// bookkeeping — never influence answers. prepare_us is the batch's
   /// total parallel-prepare wall time (batch-level, like the dispatcher's
   /// serve_us); the rest are this query's own commit breakdown.
@@ -293,7 +289,6 @@ class PmwService {
   Instruments m_;
   /// Writer-local: only the serving thread touches the handle cache.
   std::map<std::string, AnalystHandles> analyst_handles_;
-  bool record_spans_ = true;
   PlanCache* plan_cache_ = nullptr;  // not owned
 };
 

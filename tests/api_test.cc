@@ -18,7 +18,12 @@
 //       un-helloed or wrongly-helloed traffic with typed kAuthRequired
 //       envelopes, a connection cannot speak for an analyst it did not
 //       bind, and the bound analyst's transcript still matches
-//       sequential core::PmwCm bit for bit.
+//       sequential core::PmwCm bit for bit. The in-process loopback is
+//       a trusted caller: even through the frame handler (verify-codec
+//       mode) it needs no hello.
+//   (e) The arrival log holds exactly the committed requests: door
+//       rejections and deadline expiries are absent, the mechanism's
+//       own halt is present, and the log replays bit for bit.
 //
 // The TSan CI job rebuilds this binary: the socket reader/writer threads
 // (Unix and TCP) and the deferred envelope assembly run under the race
@@ -899,6 +904,179 @@ TEST_F(ApiTest, ReplayStaysBitIdenticalUnderTracingAndLiveScrapers) {
   // exact count is whatever committed before Shutdown drained).
   ASSERT_NE(endpoint.trace_recorder(), nullptr);
   EXPECT_GT(endpoint.trace_recorder()->published(), 0u);
+}
+
+TEST_F(ApiTest, ArrivalLogHoldsExactlyTheCommittedRequests) {
+  // The replay guarantee rests on the arrival log holding every request
+  // the mechanism committed — its own kHalted included — and nothing the
+  // front door turned away first: quota rejections, deadline expiries
+  // and the door's predicted kHalted.
+  constexpr uint64_t kSeed = 2024;
+  constexpr int kPipelinedAnalysts = 16;
+  constexpr size_t kPipelined = 2 * kPipelinedAnalysts;
+  erm::NoisyGradientOracle oracle;
+  ServerOptions options = DefaultServerOptions();
+  // A small T and a tight alpha: hard rounds keep firing on the small
+  // catalog until the sparse vector halts.
+  options.mechanism.override_updates = 3;
+  options.mechanism.alpha = 0.05;
+  options.quota.per_analyst_queries = 2;
+  options.record_arrival_log = true;
+  // The pipelined phase lands in one dispatcher batch: every request in
+  // it passes the door before the first one is served.
+  options.dispatcher.max_batch = kPipelined;
+  options.dispatcher.max_wait = std::chrono::milliseconds(50);
+  ServerEndpoint endpoint(dataset_.get(), &oracle, &catalog_, options, kSeed);
+  InProcessTransport transport(&endpoint);
+
+  struct Sent {
+    std::string analyst_id;
+    std::string query_name;
+    AnswerEnvelope reply;
+  };
+  std::vector<Sent> committed;
+
+  // Quota: two calls fit the per-analyst quota (at most two hard rounds,
+  // so T is not spent); the third is rejected at the door.
+  Client capped(&transport, "capped");
+  for (int j = 0; j < 2; ++j) {
+    const std::string& name = names_[static_cast<size_t>(j)];
+    committed.push_back({capped.analyst_id(), name, capped.Call(name)});
+    ASSERT_TRUE(committed.back().reply.ok()) << committed.back().reply.message;
+  }
+  const AnswerEnvelope over_quota = capped.Call(names_[2]);
+  ASSERT_EQ(over_quota.error, ErrorCode::kQuotaExceeded);
+
+  // Deadline: a lone request lingers max_wait in the queue, far past its
+  // 1 us budget, and expires before the mechanism sees it.
+  Client late(&transport, "late");
+  const AnswerEnvelope expired =
+      late.Call(names_[3], std::chrono::microseconds(-1));
+  ASSERT_EQ(expired.error, ErrorCode::kDeadlineExpired);
+
+  // Mechanism halt: one pipelined window spends the rest of T mid-batch;
+  // the requests behind it were admitted, reach the mechanism, and are
+  // answered with its own kHalted.
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::future<AnswerEnvelope>> pending;
+  for (int a = 0; a < kPipelinedAnalysts; ++a) {
+    clients.push_back(
+        std::make_unique<Client>(&transport, "burst-" + std::to_string(a)));
+    for (int j = 0; j < 2; ++j) {
+      const std::string& name =
+          names_[static_cast<size_t>(a * 2 + j) % names_.size()];
+      committed.push_back({clients.back()->analyst_id(), name, {}});
+      pending.push_back(clients.back()->CallAsync(name));
+    }
+  }
+  int mechanism_halts = 0;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    Sent& sent = committed[committed.size() - pending.size() + i];
+    sent.reply = pending[i].get();
+    if (sent.reply.error == ErrorCode::kHalted) ++mechanism_halts;
+  }
+  EXPECT_GT(mechanism_halts, 0) << "the pipelined window never spent T";
+
+  // Door-predicted halt: with T spent, the quota manager answers kHalted
+  // without queueing the request.
+  Client after(&transport, "after-halt");
+  const AnswerEnvelope door_halt = after.Call(names_[0]);
+  ASSERT_EQ(door_halt.error, ErrorCode::kHalted);
+  endpoint.Shutdown();
+
+  const std::vector<ServerEndpoint::ArrivalRecord> arrivals =
+      endpoint.ArrivalLog();
+  ASSERT_EQ(arrivals.size(), committed.size());
+  erm::NoisyGradientOracle replay_oracle;
+  core::PmwCm sequential(dataset_.get(), &replay_oracle, options.mechanism,
+                         kSeed);
+  for (size_t position = 0; position < arrivals.size(); ++position) {
+    const ServerEndpoint::ArrivalRecord& record = arrivals[position];
+    const Sent& sent = committed[position];
+    ASSERT_EQ(record.analyst_id, sent.analyst_id) << "position " << position;
+    ASSERT_EQ(record.client_request_id, sent.reply.request_id)
+        << "position " << position;
+    ASSERT_EQ(record.query_name, sent.query_name) << "position " << position;
+    Result<core::PmwAnswer> want =
+        sequential.AnswerQuery(*catalog_.Find(record.query_name));
+    ASSERT_EQ(sent.reply.ok(), want.ok()) << "position " << position;
+    if (!want.ok()) {
+      EXPECT_EQ(sent.reply.error, ClassifyStatus(want.status())) << position;
+      continue;
+    }
+    ASSERT_EQ(sent.reply.answer.size(), want.value().theta.size());
+    for (size_t i = 0; i < sent.reply.answer.size(); ++i) {
+      EXPECT_EQ(sent.reply.answer[i], want.value().theta[i])
+          << "position " << position << " coord " << i;
+    }
+    EXPECT_EQ(sent.reply.meta.hard_round, want.value().was_update) << position;
+  }
+  EXPECT_TRUE(sequential.halted());
+  EXPECT_EQ(endpoint.service().mechanism().ledger().Report(),
+            sequential.ledger().Report());
+  EXPECT_EQ(endpoint.service().mechanism().queries_answered(),
+            sequential.queries_answered());
+}
+
+TEST_F(ApiTest, VerifyCodecLoopbackNeedsNoHelloAndMatchesTheSocketPath) {
+  // The in-process transport is a trusted caller: even in verify-codec
+  // mode, where every frame goes through the endpoint's frame handler,
+  // an endpoint with an auth token answers it without a hello. The
+  // answers are the ones an authenticated socket client gets.
+  constexpr uint64_t kSeed = 6060;
+  ServerOptions options = DefaultServerOptions();
+  options.auth_token = "front-door-secret";
+
+  erm::NoisyGradientOracle loopback_oracle;
+  ServerEndpoint loopback(dataset_.get(), &loopback_oracle, &catalog_, options,
+                          kSeed);
+  InProcessTransport transport(&loopback, /*verify_codec=*/true);
+  Client trusted(&transport, "analyst-0");
+
+  erm::NoisyGradientOracle socket_oracle;
+  ServerEndpoint remote(dataset_.get(), &socket_oracle, &catalog_, options,
+                        kSeed);
+  const std::string path =
+      "/tmp/pmw_api_trusted_" + std::to_string(::getpid()) + ".sock";
+  SocketServer server(&remote, path);
+  ASSERT_TRUE(server.Start().ok());
+  SocketTransport socket(path);
+  ASSERT_TRUE(socket.status().ok()) << socket.status().ToString();
+  Client authed(&socket, "analyst-0");
+  // The socket path does demand the hello.
+  ASSERT_EQ(authed.Call(names_[0]).error, ErrorCode::kAuthRequired);
+  ASSERT_TRUE(authed.Hello("front-door-secret").ok());
+
+  for (int j = 0; j < 12; ++j) {
+    const std::string& name =
+        names_[static_cast<size_t>(j * 3) % names_.size()];
+    const AnswerEnvelope got = trusted.Call(name);
+    const AnswerEnvelope want = authed.Call(name);
+    ASSERT_EQ(got.error, want.error) << "call " << j << ": " << got.message;
+    ASSERT_TRUE(got.ok()) << got.message;
+    EXPECT_EQ(got.answer, want.answer) << "call " << j;
+    EXPECT_EQ(got.meta.hard_round, want.meta.hard_round) << "call " << j;
+  }
+  const std::vector<std::string> batch(names_.begin(), names_.begin() + 3);
+  const std::vector<AnswerEnvelope> got_batch = trusted.CallBatch(batch);
+  const std::vector<AnswerEnvelope> want_batch = authed.CallBatch(batch);
+  ASSERT_EQ(got_batch.size(), want_batch.size());
+  for (size_t j = 0; j < got_batch.size(); ++j) {
+    ASSERT_TRUE(got_batch[j].ok()) << got_batch[j].message;
+    EXPECT_EQ(got_batch[j].answer, want_batch[j].answer) << "name " << j;
+  }
+  // The polls need no hello either.
+  EXPECT_TRUE(trusted.Stats().ok());
+  EXPECT_TRUE(trusted.Metrics().ok());
+  EXPECT_TRUE(trusted.Trace().ok());
+
+  socket.Close();
+  server.Shutdown();
+  remote.Shutdown();
+  loopback.Shutdown();
+  EXPECT_EQ(loopback.service().mechanism().ledger().Report(),
+            remote.service().mechanism().ledger().Report());
+  EXPECT_EQ(loopback.codec_counters().decode_errors->Value(), 0);
 }
 
 }  // namespace

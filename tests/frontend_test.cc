@@ -23,10 +23,11 @@
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/error.h"
@@ -78,7 +79,7 @@ class FrontendTest : public ::testing::Test {
 };
 
 struct SubmittedRequest {
-  uint64_t id = 0;
+  uint64_t client_request_id = 0;
   size_t pool_index = 0;
   std::string analyst;
   std::future<Served> future;
@@ -98,6 +99,7 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   erm::NoisyGradientOracle oracle;
   serve::ServeOptions serve_options;
   serve_options.num_threads = 2;
+  serve_options.num_shards = 2;  // the replay covers a sharded service
   serve::PmwService service(dataset_.get(), &oracle, options, kSeed,
                             serve_options);
   QuotaManager quota(&service, QuotaOptions{});  // unlimited
@@ -119,14 +121,17 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   for (int a = 0; a < kAnalysts; ++a) {
     analysts.emplace_back([this, a, &dispatcher, &submitted_mutex,
                            &submitted] {
-      AnalystSession session(&dispatcher, "analyst-" + std::to_string(a));
+      const std::string analyst = "analyst-" + std::to_string(a);
       for (int j = 0; j < kQueriesPerAnalyst; ++j) {
         size_t pool_index =
             static_cast<size_t>(a * 7 + j * 3) % pool_.size();
+        const std::string name = "pool/" + std::to_string(pool_index);
         SubmittedRequest request;
+        request.client_request_id = static_cast<uint64_t>(j);
         request.pool_index = pool_index;
-        request.analyst = session.analyst_id();
-        request.future = session.Submit(pool_[pool_index], &request.id);
+        request.analyst = analyst;
+        request.future = dispatcher.Submit(analyst, pool_[pool_index],
+                                           request.client_request_id, name);
         std::lock_guard<std::mutex> lock(submitted_mutex);
         submitted.push_back(std::move(request));
       }
@@ -135,22 +140,24 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   for (std::thread& t : analysts) t.join();
   dispatcher.Shutdown();
 
-  const std::vector<uint64_t> arrival = dispatcher.ArrivalLog();
+  const std::vector<ArrivalRecord> arrival = dispatcher.ArrivalLog();
   ASSERT_EQ(arrival.size(),
             static_cast<size_t>(kAnalysts * kQueriesPerAnalyst));
 
-  std::unordered_map<uint64_t, SubmittedRequest*> by_id;
+  std::map<std::pair<std::string, uint64_t>, SubmittedRequest*> by_key;
   for (SubmittedRequest& request : submitted) {
-    by_id[request.id] = &request;
+    by_key[{request.analyst, request.client_request_id}] = &request;
   }
 
   // Replay the exact interleaving through the sequential mechanism.
   erm::NoisyGradientOracle replay_oracle;
   core::PmwCm sequential(dataset_.get(), &replay_oracle, options, kSeed);
   for (size_t position = 0; position < arrival.size(); ++position) {
-    auto it = by_id.find(arrival[position]);
-    ASSERT_NE(it, by_id.end());
+    const ArrivalRecord& record = arrival[position];
+    auto it = by_key.find({record.analyst_id, record.client_request_id});
+    ASSERT_NE(it, by_key.end()) << "position " << position;
     SubmittedRequest& request = *it->second;
+    EXPECT_EQ(record.query_name, "pool/" + std::to_string(request.pool_index));
     Result<core::PmwAnswer> want =
         sequential.AnswerQuery(pool_[request.pool_index]);
     Result<convex::Vec> got = request.future.get().answer;
@@ -194,86 +201,6 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   EXPECT_GT(dstats.batches, 0);
 }
 
-TEST_F(FrontendTest, FairRoundRobinPopKeepsTranscriptsReplayable) {
-  // The fairness flag changes WHICH order requests commit in (dealt one
-  // per analyst per cycle at contended windows, over a domain-sharded
-  // service) — but the commit order IS the arrival log, so the replay
-  // guarantee must be untouched.
-  constexpr int kAnalysts = 3;
-  constexpr int kQueriesPerAnalyst = 20;
-  constexpr uint64_t kSeed = 919;
-
-  core::PmwOptions options = PracticalOptions();
-  options.override_updates = 24;
-
-  erm::NoisyGradientOracle oracle;
-  serve::ServeOptions serve_options;
-  serve_options.num_threads = 2;
-  serve_options.num_shards = 2;
-  serve::PmwService service(dataset_.get(), &oracle, options, kSeed,
-                            serve_options);
-  DispatcherOptions dispatcher_options;
-  dispatcher_options.max_batch = 8;
-  dispatcher_options.max_wait = std::chrono::microseconds(2000);
-  dispatcher_options.record_arrival_log = true;
-  dispatcher_options.fair_round_robin = true;
-  Dispatcher dispatcher(&service, nullptr, dispatcher_options);
-
-  std::mutex submitted_mutex;
-  std::vector<SubmittedRequest> submitted;
-  std::vector<std::thread> analysts;
-  analysts.reserve(kAnalysts);
-  for (int a = 0; a < kAnalysts; ++a) {
-    analysts.emplace_back([this, a, &dispatcher, &submitted_mutex,
-                           &submitted] {
-      AnalystSession session(&dispatcher, "analyst-" + std::to_string(a));
-      for (int j = 0; j < kQueriesPerAnalyst; ++j) {
-        size_t pool_index =
-            static_cast<size_t>(a * 5 + j * 3) % pool_.size();
-        SubmittedRequest request;
-        request.pool_index = pool_index;
-        request.analyst = session.analyst_id();
-        request.future = session.Submit(pool_[pool_index], &request.id);
-        std::lock_guard<std::mutex> lock(submitted_mutex);
-        submitted.push_back(std::move(request));
-      }
-    });
-  }
-  for (std::thread& t : analysts) t.join();
-  dispatcher.Shutdown();
-
-  const std::vector<uint64_t> arrival = dispatcher.ArrivalLog();
-  ASSERT_EQ(arrival.size(),
-            static_cast<size_t>(kAnalysts * kQueriesPerAnalyst));
-  std::unordered_map<uint64_t, SubmittedRequest*> by_id;
-  for (SubmittedRequest& request : submitted) {
-    by_id[request.id] = &request;
-  }
-
-  erm::NoisyGradientOracle replay_oracle;
-  core::PmwCm sequential(dataset_.get(), &replay_oracle, options, kSeed);
-  for (size_t position = 0; position < arrival.size(); ++position) {
-    auto it = by_id.find(arrival[position]);
-    ASSERT_NE(it, by_id.end());
-    SubmittedRequest& request = *it->second;
-    Result<core::PmwAnswer> want =
-        sequential.AnswerQuery(pool_[request.pool_index]);
-    Result<convex::Vec> got = request.future.get().answer;
-    ASSERT_EQ(got.ok(), want.ok()) << "position " << position;
-    if (!want.ok()) continue;
-    const convex::Vec& g = *got;
-    const convex::Vec& w = want.value().theta;
-    ASSERT_EQ(g.size(), w.size());
-    for (size_t i = 0; i < w.size(); ++i) {
-      EXPECT_EQ(g[i], w[i]) << "position " << position << " coord " << i;
-    }
-  }
-  EXPECT_EQ(service.mechanism().ledger().Report(),
-            sequential.ledger().Report());
-  EXPECT_EQ(service.mechanism().queries_answered(),
-            sequential.queries_answered());
-}
-
 TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
   constexpr uint64_t kSeed = 77;
   erm::NoisyGradientOracle oracle;
@@ -283,12 +210,12 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
   quota_options.per_analyst_queries = 3;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "bounded-analyst");
 
   // First 3 are admitted and served.
   for (int j = 0; j < 3; ++j) {
+    const convex::CmQuery& query = pool_[static_cast<size_t>(j)];
     Result<convex::Vec> answer =
-        session.Submit(pool_[static_cast<size_t>(j)]).get().answer;
+        dispatcher.Submit("bounded-analyst", query).get().answer;
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
   }
   const int events_before = service.mechanism().ledger().event_count();
@@ -298,7 +225,8 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
 
   // The next 5 are rejected at the front door with a typed error...
   for (int j = 0; j < 5; ++j) {
-    Result<convex::Vec> rejected = session.Submit(pool_[0]).get().answer;
+    Result<convex::Vec> rejected =
+        dispatcher.Submit("bounded-analyst", pool_[0]).get().answer;
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(rejected.status().message().find("quota"), std::string::npos);
@@ -350,9 +278,9 @@ TEST_F(FrontendTest, GlobalQuotaAppliesAcrossAnalysts) {
   int served = 0;
   int rejected = 0;
   for (int a = 0; a < 3; ++a) {
-    AnalystSession session(&dispatcher, "a" + std::to_string(a));
     for (int j = 0; j < 2; ++j) {
-      Result<convex::Vec> answer = session.Submit(pool_[0]).get().answer;
+      Result<convex::Vec> answer =
+          dispatcher.Submit("a" + std::to_string(a), pool_[0]).get().answer;
       if (answer.ok()) {
         ++served;
       } else {
@@ -501,10 +429,10 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "deadline-analyst");
+  const std::string analyst = "deadline-analyst";
 
   // Warm the mechanism so the ledger is non-trivial before the expiry.
-  ASSERT_TRUE(session.Submit(pool_[0]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[0]).get().answer.ok());
   const int events_before = service.mechanism().ledger().event_count();
   const dp::PrivacyParams spent_before =
       service.mechanism().ledger().BasicTotal();
@@ -516,7 +444,7 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   const auto already_expired =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   Result<convex::Vec> late =
-      session.Submit(pool_[1], nullptr, already_expired).get().answer;
+      dispatcher.Submit(analyst, pool_[1], 0, {}, already_expired).get().answer;
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(api::ClassifyStatus(late.status()),
@@ -536,7 +464,8 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   // A roomy deadline serves normally (and still counts one expiry only).
   const auto roomy =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  EXPECT_TRUE(session.Submit(pool_[2], nullptr, roomy).get().answer.ok());
+  EXPECT_TRUE(
+      dispatcher.Submit(analyst, pool_[2], 0, {}, roomy).get().answer.ok());
   dispatcher.Shutdown();
   EXPECT_EQ(dispatcher.stats().deadline_expired, 1);
 }
@@ -555,11 +484,11 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "refund-analyst");
+  const std::string analyst = "refund-analyst";
 
   // Warm the quota ledger: two served queries leave admitted == 2.
-  ASSERT_TRUE(session.Submit(pool_[0]).get().answer.ok());
-  ASSERT_TRUE(session.Submit(pool_[1]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[0]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[1]).get().answer.ok());
   ASSERT_EQ(quota.admitted("refund-analyst"), 2);
 
   // Three sequential expiries. Each .get() forces the sweep (and its
@@ -568,8 +497,9 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   for (int i = 0; i < 3; ++i) {
     const auto already_expired =
         std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-    Result<convex::Vec> late =
-        session.Submit(pool_[2 + i], nullptr, already_expired).get().answer;
+    std::future<Served> expiring =
+        dispatcher.Submit(analyst, pool_[2 + i], 0, {}, already_expired);
+    Result<convex::Vec> late = expiring.get().answer;
     ASSERT_FALSE(late.ok());
     EXPECT_EQ(api::ClassifyStatus(late.status()),
               api::ErrorCode::kDeadlineExpired);
@@ -582,9 +512,9 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   // Exactly two slots remain: two more serves fill the quota of 4, and
   // the fifth admission is the typed quota rejection. A double refund
   // anywhere above would have left extra slots and this would serve.
-  EXPECT_TRUE(session.Submit(pool_[5]).get().answer.ok());
-  EXPECT_TRUE(session.Submit(pool_[6]).get().answer.ok());
-  Result<convex::Vec> over = session.Submit(pool_[7]).get().answer;
+  EXPECT_TRUE(dispatcher.Submit(analyst, pool_[5]).get().answer.ok());
+  EXPECT_TRUE(dispatcher.Submit(analyst, pool_[6]).get().answer.ok());
+  Result<convex::Vec> over = dispatcher.Submit(analyst, pool_[7]).get().answer;
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(api::ClassifyStatus(over.status()),
             api::ErrorCode::kQuotaExceeded);
@@ -627,13 +557,12 @@ TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {
   std::vector<std::thread> analysts;
   for (int a = 0; a < kThreads; ++a) {
     analysts.emplace_back([this, a, &dispatcher, &ok_count] {
-      AnalystSession session(&dispatcher, "burst-" + std::to_string(a));
+      const std::string analyst = "burst-" + std::to_string(a);
       for (int j = 0; j < kPerThread; ++j) {
+        const convex::CmQuery& query =
+            pool_[static_cast<size_t>(a + j) % pool_.size()];
         Result<convex::Vec> answer =
-            session
-                .Submit(pool_[static_cast<size_t>(a + j) % pool_.size()])
-                .get()
-                .answer;
+            dispatcher.Submit(analyst, query).get().answer;
         if (answer.ok()) ok_count.fetch_add(1, std::memory_order_relaxed);
       }
     });
