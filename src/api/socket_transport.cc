@@ -83,13 +83,19 @@ std::vector<std::future<AnswerEnvelope>> StreamTransport::ShipFrame(
     const std::string& wire, uint64_t first_id, size_t count) {
   std::vector<std::future<AnswerEnvelope>> futures;
   futures.reserve(count);
+  // Id 0 is reserved for the server's undecodable-frame reply; a run
+  // that would carry it is refused unsent (see the header comment).
+  const bool reserved_id =
+      first_id == 0 || (count > 0 && first_id + (count - 1) < first_id);
   if (!connect_status_.ok() || closed_.load(std::memory_order_acquire) ||
-      broken_.load(std::memory_order_acquire)) {
+      broken_.load(std::memory_order_acquire) || reserved_id) {
     const std::string why =
         !connect_status_.ok() ? connect_status_.message()
         : closed_.load(std::memory_order_acquire)
             ? "channel is closed"
-            : "connection is broken (no reader to resolve replies)";
+        : broken_.load(std::memory_order_acquire)
+            ? "connection is broken (no reader to resolve replies)"
+            : "request id 0 is reserved for undecodable-frame replies";
     for (size_t i = 0; i < count; ++i) {
       std::promise<AnswerEnvelope> failed;
       futures.push_back(failed.get_future());
@@ -148,6 +154,11 @@ std::vector<std::future<AnswerEnvelope>> StreamTransport::ShipFrame(
     // joined — so the descriptor cannot be closed or reused mid-write.
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (fd_ >= 0 && !closed_.load(std::memory_order_acquire)) {
+      {
+        // Before the write: a reply may arrive the moment it lands.
+        std::lock_guard<std::mutex> frames_lock(pending_mutex_);
+        frames_.push_back(InFlightFrame{first_id, count, 0});
+      }
       written = WriteAll(fd_, wire.data(), wire.size());
     }
   }
@@ -221,26 +232,49 @@ void StreamTransport::ReadLoop() {
             return;
           }
           AnswerEnvelope envelope = std::move(decoded).value();
-          std::promise<AnswerEnvelope> resolved;
-          bool found = false;
+          // Replies arrive in frame order, so each one is owed to the
+          // oldest in-flight frame (see the header comment).
+          if (envelope.request_id != 0) {
+            std::promise<AnswerEnvelope> resolved;
+            bool found = false;
+            {
+              std::lock_guard<std::mutex> lock(pending_mutex_);
+              auto it = pending_.find(envelope.request_id);
+              if (it != pending_.end()) {
+                resolved = std::move(it->second);
+                pending_.erase(it);
+                found = true;
+              }
+              if (!frames_.empty() &&
+                  ++frames_.front().received >= frames_.front().count) {
+                frames_.pop_front();
+              }
+            }
+            if (found) resolved.set_value(std::move(envelope));
+            return;
+          }
+          // Id 0: the server could not decode the oldest in-flight frame;
+          // its typed error answers every call that frame still owes.
+          std::vector<std::pair<uint64_t, std::promise<AnswerEnvelope>>>
+              resolved;
           {
             std::lock_guard<std::mutex> lock(pending_mutex_);
-            auto it = pending_.find(envelope.request_id);
-            if (it == pending_.end() && envelope.request_id == 0 &&
-                pending_.size() == 1) {
-              // The server could not recover the id (undecodable
-              // request). With exactly one call in flight the reply is
-              // unambiguous; with more we must not guess — the calls
-              // resolve at Close().
-              it = pending_.begin();
-            }
-            if (it != pending_.end()) {
-              resolved = std::move(it->second);
-              pending_.erase(it);
-              found = true;
+            if (!frames_.empty()) {
+              const InFlightFrame& frame = frames_.front();
+              for (size_t i = 0; i < frame.count; ++i) {
+                auto it = pending_.find(frame.first_id + i);
+                if (it == pending_.end()) continue;
+                resolved.emplace_back(it->first, std::move(it->second));
+                pending_.erase(it);
+              }
+              frames_.pop_front();
             }
           }
-          if (found) resolved.set_value(std::move(envelope));
+          for (auto& [id, promise] : resolved) {
+            AnswerEnvelope reply = envelope;
+            reply.request_id = id;
+            promise.set_value(std::move(reply));
+          }
         });
     buffer.erase(0, consumed);
     if (framing == FrameStatus::kMalformed || decode_failed) break;
@@ -256,6 +290,7 @@ void StreamTransport::FailAllPending(const std::string& why) {
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     orphans.swap(pending_);
+    frames_.clear();
   }
   for (auto& [id, promise] : orphans) {
     promise.set_value(TransportError(id, why));

@@ -25,6 +25,20 @@
 // kTransportError envelopes, never raw errno text without the taxonomy
 // tag.
 //
+// Undecodable frames. When the server cannot decode a frame it cannot
+// recover its ids either, so it answers the whole frame with ONE envelope
+// carrying request id 0 and the typed error (kVersionMismatch,
+// kMalformedRequest, ...). The rule that makes that reply unambiguous:
+//   * the server answers frames in the order it read them, each with
+//     either one reply per id the frame carries or, if undecodable, one
+//     id-0 reply (FrameServer's reader queues a frame's replies before
+//     reading the next frame; its writer drains them in that order);
+//   * request id 0 is reserved — StreamTransport refuses to send it —
+//     so an id-0 reply can only mean "the oldest unanswered frame was
+//     undecodable", and every still-pending call of that frame resolves
+//     with a copy of the typed error (restamped with its own id).
+// The client keeps the in-flight frames in write order to apply it.
+//
 // TCP widens the threat model from "same host" to "whoever can reach
 // the port"; ServerOptions::auth_token + the hello frame exist for
 // exactly that step (see endpoint.h for the binding rules).
@@ -34,6 +48,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <string>
@@ -125,6 +140,8 @@ class StreamTransport : public Transport {
   /// envelope).
   Status status() const { return connect_status_; }
 
+  /// Every Send flavor resolves a call whose request id is 0 (reserved;
+  /// see the file comment) at once with kTransportError, unsent.
   std::future<AnswerEnvelope> Send(QueryRequest request) override;
 
   /// One batched frame, one write syscall, N pipelined replies (the
@@ -172,8 +189,20 @@ class StreamTransport : public Transport {
   std::atomic<bool> broken_{false};
   std::mutex close_mutex_;  // serializes Close callers
   std::mutex write_mutex_;
+  /// One written frame awaiting replies: its id run
+  /// [first_id, first_id + count) — one reply owed per id — and the
+  /// replies received so far.
+  struct InFlightFrame {
+    uint64_t first_id = 0;
+    size_t count = 0;
+    size_t received = 0;
+  };
   std::mutex pending_mutex_;
   std::unordered_map<uint64_t, std::promise<AnswerEnvelope>> pending_;
+  /// Written frames whose replies have not all arrived, in write order
+  /// (pushed under write_mutex_ before the write, so the order is the
+  /// wire order). Guarded by pending_mutex_.
+  std::deque<InFlightFrame> frames_;
   std::thread reader_;  // last: started once fd_ is live
 };
 

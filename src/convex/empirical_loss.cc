@@ -1,74 +1,93 @@
 #include "convex/empirical_loss.h"
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
 namespace pmw {
 namespace convex {
 
-HistogramObjective::HistogramObjective(const LossFunction* loss,
-                                       const data::Universe* universe,
-                                       const data::Histogram* histogram)
-    : loss_(loss), universe_(universe), histogram_(histogram) {
-  PMW_CHECK(loss != nullptr);
-  PMW_CHECK(universe != nullptr);
-  PMW_CHECK(histogram != nullptr);
-  PMW_CHECK_EQ(universe->size(), histogram->size());
-}
-
-double HistogramObjective::Value(const Vec& theta) const {
-  double acc = 0.0;
-  for (int i = 0; i < universe_->size(); ++i) {
-    double mass = (*histogram_)[i];
-    if (mass > 0.0) acc += mass * loss_->Value(theta, universe_->row(i));
-  }
-  return acc;
-}
-
-Vec HistogramObjective::Gradient(const Vec& theta) const {
-  Vec grad = Zeros(loss_->dim());
-  for (int i = 0; i < universe_->size(); ++i) {
-    double mass = (*histogram_)[i];
-    if (mass > 0.0) {
-      loss_->AddGradient(theta, universe_->row(i), mass, &grad);
-    }
-  }
-  return grad;
-}
-
 SupportObjective::SupportObjective(const LossFunction* loss,
                                    const data::Universe* universe,
-                                   const data::HistogramSupport* support)
-    : loss_(loss), universe_(universe), support_(support) {
+                                   const data::HistogramSupport* support,
+                                   const ChunkRunner* runner)
+    : loss_(loss), universe_(universe), support_(support), runner_(runner) {
   PMW_CHECK(loss != nullptr);
   PMW_CHECK(universe != nullptr);
   PMW_CHECK(support != nullptr);
 }
 
-double SupportObjective::Value(const Vec& theta) const {
+void SupportObjective::ForEachChunk(size_t chunks,
+                                    const std::function<void(int)>& fn) const {
+  if (runner_ != nullptr && *runner_) {
+    (*runner_)(static_cast<int>(chunks), fn);
+    return;
+  }
+  for (size_t c = 0; c < chunks; ++c) fn(static_cast<int>(c));
+}
+
+double SupportObjective::ChunkValue(const Vec& theta, size_t lo,
+                                    size_t hi) const {
   double acc = 0.0;
   // A loss that claims the batch path must produce the same bits as the
   // per-row loop below (loss_function.h), so the dispatch never changes
   // the objective value, only its cost.
-  if (loss_->BatchValue(theta, *universe_, support_->data(), support_->size(),
+  if (loss_->BatchValue(theta, *universe_, support_->data() + lo, hi - lo,
                         &acc)) {
     return acc;
   }
-  for (const auto& [index, mass] : *support_) {
+  for (size_t e = lo; e < hi; ++e) {
+    const auto& [index, mass] = (*support_)[e];
     acc += mass * loss_->Value(theta, universe_->row(index));
   }
   return acc;
 }
 
+void SupportObjective::ChunkAddGradient(const Vec& theta, size_t lo,
+                                        size_t hi, Vec* grad) const {
+  if (loss_->BatchAddGradient(theta, *universe_, support_->data() + lo,
+                              hi - lo, grad)) {
+    return;
+  }
+  for (size_t e = lo; e < hi; ++e) {
+    const auto& [index, mass] = (*support_)[e];
+    loss_->AddGradient(theta, universe_->row(index), mass, grad);
+  }
+}
+
+double SupportObjective::Value(const Vec& theta) const {
+  const size_t chunks = num_chunks();
+  if (chunks <= 1) return ChunkValue(theta, 0, support_->size());
+  std::vector<double> parts(chunks);
+  ForEachChunk(chunks, [&](int c) {
+    const size_t lo = static_cast<size_t>(c) * kChunk;
+    parts[static_cast<size_t>(c)] =
+        ChunkValue(theta, lo, std::min(lo + kChunk, support_->size()));
+  });
+  double acc = parts[0];
+  for (size_t c = 1; c < chunks; ++c) acc += parts[c];
+  return acc;
+}
+
 Vec SupportObjective::Gradient(const Vec& theta) const {
+  const size_t chunks = num_chunks();
   Vec grad = Zeros(loss_->dim());
-  if (loss_->BatchAddGradient(theta, *universe_, support_->data(),
-                              support_->size(), &grad)) {
+  if (chunks <= 1) {
+    ChunkAddGradient(theta, 0, support_->size(), &grad);
     return grad;
   }
-  for (const auto& [index, mass] : *support_) {
-    loss_->AddGradient(theta, universe_->row(index), mass, &grad);
+  std::vector<Vec> parts(chunks, grad);
+  ForEachChunk(chunks, [&](int c) {
+    const size_t lo = static_cast<size_t>(c) * kChunk;
+    ChunkAddGradient(theta, lo, std::min(lo + kChunk, support_->size()),
+                     &parts[static_cast<size_t>(c)]);
+  });
+  grad = std::move(parts[0]);
+  for (size_t c = 1; c < chunks; ++c) {
+    for (size_t j = 0; j < grad.size(); ++j) grad[j] += parts[c][j];
   }
   return grad;
 }

@@ -17,36 +17,33 @@ ErrorOracle::ErrorOracle(const data::Universe* universe,
 convex::Vec ErrorOracle::Minimize(const convex::CmQuery& query,
                                   const data::Histogram& histogram) const {
   PMW_CHECK_EQ(histogram.size(), universe_->size());
-  convex::HistogramObjective objective(query.loss, universe_, &histogram);
-  return solver_.Minimize(objective, *query.domain).theta;
+  return Minimize(query, histogram.CompactSupport());
 }
 
 double ErrorOracle::MinimumValue(const convex::CmQuery& query,
                                  const data::Histogram& histogram) const {
   PMW_CHECK_EQ(histogram.size(), universe_->size());
-  convex::HistogramObjective objective(query.loss, universe_, &histogram);
-  return solver_.Minimize(objective, *query.domain).value;
+  return MinimumValue(query, histogram.CompactSupport());
 }
 
 double ErrorOracle::Loss(const convex::CmQuery& query,
                          const data::Histogram& histogram,
                          const convex::Vec& theta) const {
   PMW_CHECK_EQ(histogram.size(), universe_->size());
-  convex::HistogramObjective objective(query.loss, universe_, &histogram);
-  return objective.Value(theta);
+  return Loss(query, histogram.CompactSupport(), theta);
 }
 
 double ErrorOracle::AnswerError(const convex::CmQuery& query,
                                 const data::Histogram& histogram,
                                 const convex::Vec& theta_hat) const {
-  double excess = Loss(query, histogram, theta_hat) -
-                  MinimumValue(query, histogram);
-  return std::max(excess, 0.0);
+  PMW_CHECK_EQ(histogram.size(), universe_->size());
+  return AnswerError(query, histogram.CompactSupport(), theta_hat);
 }
 
 convex::Vec ErrorOracle::Minimize(const convex::CmQuery& query,
-                                  const data::HistogramSupport& support) const {
-  convex::SupportObjective objective(query.loss, universe_, &support);
+                                  const data::HistogramSupport& support,
+                                  const ChunkRunner* runner) const {
+  convex::SupportObjective objective(query.loss, universe_, &support, runner);
   return solver_.Minimize(objective, *query.domain).theta;
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/chunk_runner.h"
 #include "convex/auto_solver.h"
 #include "convex/cm_query.h"
 #include "data/histogram.h"
@@ -26,6 +27,9 @@ class ErrorOracle {
 
   const data::Universe& universe() const { return *universe_; }
 
+  /// Dense-histogram variants: each compacts `histogram` once
+  /// (Histogram::CompactSupport) and runs the support variant below, so
+  /// dense and support answers agree by construction.
   /// argmin_theta l_D(theta) over the query's domain.
   convex::Vec Minimize(const convex::CmQuery& query,
                        const data::Histogram& histogram) const;
@@ -44,11 +48,15 @@ class ErrorOracle {
                      const data::Histogram& histogram,
                      const convex::Vec& theta_hat) const;
 
-  /// Support-based variants: identical mathematics over a precomputed
-  /// compacted support (see data::HistogramSupport). Callers that evaluate
-  /// many queries against one histogram compact it once and use these.
+  /// Support-based variants over a precomputed compacted support (see
+  /// data::HistogramSupport), evaluated through convex::SupportObjective.
+  /// Callers that evaluate many queries against one histogram compact it
+  /// once and use these. Minimize's optional `runner` (not owned) fans
+  /// each objective sweep's fixed chunks out — same bits as inline; see
+  /// SupportObjective for the reduction rule. The oracle never stores it.
   convex::Vec Minimize(const convex::CmQuery& query,
-                       const data::HistogramSupport& support) const;
+                       const data::HistogramSupport& support,
+                       const ChunkRunner* runner = nullptr) const;
   double MinimumValue(const convex::CmQuery& query,
                       const data::HistogramSupport& support) const;
   double Loss(const convex::CmQuery& query,

@@ -108,13 +108,14 @@ PreparedQuery PmwCm::Prepare(const convex::CmQuery& query) const {
 }
 
 PreparedQuery PmwCm::Prepare(const convex::CmQuery& query,
-                             const HypothesisSnapshot& snapshot) const {
+                             const HypothesisSnapshot& snapshot,
+                             const ChunkRunner* runner) const {
   PMW_CHECK(query.loss != nullptr);
   PMW_CHECK(query.domain != nullptr);
 
   PreparedQuery prepared;
   // theta_hat_t = argmin over the public hypothesis (no privacy cost).
-  prepared.theta_hat = error_oracle_.Minimize(query, snapshot.support);
+  prepared.theta_hat = error_oracle_.Minimize(query, snapshot.support, runner);
   // q_j(D) = err_l(D, D_hat_t) = l_D(theta_hat) - min l_D.
   prepared.query_value =
       error_oracle_.AnswerError(query, data_support_, prepared.theta_hat);

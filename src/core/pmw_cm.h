@@ -161,16 +161,27 @@ class PmwCm {
   /// against a stale snapshot yields a plan AnswerPrepared will recompute
   /// rather than trust.
   ///
+  /// `runner` (optional, not owned) executes the fixed chunks of each
+  /// hypothesis-side objective sweep (convex::SupportObjective): the
+  /// serving writer passes its pool-backed serve::ShardRouter when the
+  /// snapshot holds more than one chunk. The plan is bit-identical with
+  /// or without it, on any number of threads. The mechanism never stores
+  /// the runner, so a caller already running on a pool passes none and
+  /// nests nothing. The data-side solve always runs inline.
+  ///
   /// Thread safety: Prepare draws no randomness and touches only state
   /// that is immutable after construction (the error oracle, the data
   /// support) plus the caller-supplied snapshot, so any number of threads
   /// may Prepare concurrently against const snapshots — the epoch-read
-  /// path of serve::PmwService. The snapshot-less overload reads the live
-  /// hypothesis and is NOT safe concurrently with AnswerPrepared; neither
-  /// is any concurrent call to AnswerPrepared itself (single writer).
+  /// path of serve::PmwService. The runner must tolerate being called
+  /// from the thread that calls Prepare (ShardRouter: the serving writer
+  /// only). The snapshot-less overload reads the live hypothesis and is
+  /// NOT safe concurrently with AnswerPrepared; neither is any concurrent
+  /// call to AnswerPrepared itself (single writer).
   PreparedQuery Prepare(const convex::CmQuery& query) const;
   PreparedQuery Prepare(const convex::CmQuery& query,
-                        const HypothesisSnapshot& snapshot) const;
+                        const HypothesisSnapshot& snapshot,
+                        const ChunkRunner* runner = nullptr) const;
 
   /// Answers using a precomputed PreparedQuery. If `prepared` was computed
   /// at an older hypothesis_version() it is ignored and recomputed, so a

@@ -37,6 +37,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/chunk_runner.h"
 #include "data/histogram.h"
 
 namespace pmw {
@@ -57,13 +58,14 @@ struct HypothesisShard {
 };
 
 /// Runs fn(s) for every shard s in [0, num_shards) and returns only once
-/// all shards completed. The serving layer installs a thread-pool-backed
-/// runner (serve::ShardRouter); null means "loop inline in shard order",
-/// the sequential configuration. Implementations may run shards in any
-/// order or concurrency — per-shard work is disjoint and the combines
-/// happen on the caller afterwards, so scheduling cannot change results.
-using ShardRunner =
-    std::function<void(int num_shards, const std::function<void(int)>& fn)>;
+/// all shards completed — the common ChunkRunner shape
+/// (common/chunk_runner.h), with shards as the pieces. The serving layer
+/// installs a thread-pool-backed runner (serve::ShardRouter); null means
+/// "loop inline in shard order", the sequential configuration.
+/// Implementations may run shards in any order or concurrency — per-shard
+/// work is disjoint and the combines happen on the caller afterwards, so
+/// scheduling cannot change results.
+using ShardRunner = ChunkRunner;
 
 class ShardedHypothesis {
  public:

@@ -103,8 +103,8 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       pool_(serve_options.num_threads > 1
                 ? std::make_unique<ThreadPool>(serve_options.num_threads)
                 : nullptr),
-      executor_(pool_.get(), &cm_),
-      router_(pool_.get()) {
+      router_(pool_.get()),
+      executor_(pool_.get(), &cm_, &router_) {
   // Partition the hypothesis and route its per-shard MW-update work
   // through the pool. A single shard keeps the inline (sequential) path.
   cm_.ConfigureSharding(

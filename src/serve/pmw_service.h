@@ -5,12 +5,14 @@
 //
 //   * Read path (parallel). At batch start the writer publishes an
 //     *epoch*: an immutable compacted snapshot of the hypothesis
-//     (serve/epoch_state.h). A ShardExecutor partitions the batch into
-//     contiguous shards — one per thread-pool worker — and each worker
-//     prepares its shard's queries against that snapshot
-//     (PmwCm::Prepare: const, deterministic, no randomness). This is the
-//     embarrassingly parallel part: in steady state the sparse vector
-//     answers kBottom and preparation is all the work there is.
+//     (serve/epoch_state.h). A ShardExecutor prepares the batch's
+//     distinct queries against that snapshot (PmwCm::Prepare: const,
+//     deterministic, no randomness). On a support of at most one chunk
+//     (convex::SupportObjective::kChunk) it splits the queries across the
+//     pool's workers; on a larger one it prepares them in order on the
+//     writer and fans each solve's chunks across the pool through the
+//     ShardRouter. In steady state the sparse vector answers kBottom and
+//     preparation is all the work there is.
 //   * Write path (sequential commits, sharded updates). The single
 //     writer then commits queries in arrival order through
 //     PmwCm::AnswerPrepared — sparse-vector noise draws, oracle calls,
@@ -24,7 +26,9 @@
 //     publishes a new snapshot (with per-shard slice views) and
 //     re-prepares the batch's remaining suffix in parallel before
 //     continuing. Updates are bounded by the schedule's T, so re-prepares
-//     are rare and the amortization survives.
+//     are rare and the amortization survives — except at |X| = 2^20,
+//     where one O(|X|) hypothesis solve per re-prepared query is most of
+//     the serving time, which is why those solves spread over the pool.
 //
 // Determinism: plans are pure functions of (query, snapshot) and every
 // stateful step is replayed in arrival order by one thread, so answers
@@ -277,10 +281,12 @@ class PmwService {
 
   core::PmwCm cm_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
-  ShardExecutor executor_;
-  /// Fans the MW-update path's per-shard phases across pool_; installed
-  /// into cm_ as its ShardRunner when num_shards > 1.
+  /// Fans the writer's parallel sections across pool_: the MW-update
+  /// path's per-shard phases (installed into cm_ as its ShardRunner when
+  /// num_shards > 1) and the chunks of each solve over a multi-chunk
+  /// support (handed to executor_, whatever num_shards is).
   ShardRouter router_;
+  ShardExecutor executor_;
   EpochState epochs_;
   /// Owned fallback when ServeOptions::registry is null; registry_
   /// always points at the live one.

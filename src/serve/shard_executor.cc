@@ -25,8 +25,9 @@ void PlanCache::Insert(const QueryKey& key, const PlanStamp& stamp,
   slots_[key] = Slot{stamp.shard_set, stamp.content, plan};
 }
 
-ShardExecutor::ShardExecutor(ThreadPool* pool, const core::PmwCm* cm)
-    : pool_(pool), cm_(cm) {
+ShardExecutor::ShardExecutor(ThreadPool* pool, const core::PmwCm* cm,
+                             ShardRouter* router)
+    : pool_(pool), cm_(cm), router_(router) {
   PMW_CHECK(cm != nullptr);
 }
 
@@ -101,18 +102,26 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
   const size_t misses = miss_slots.size();
   if (misses == 0) return result;
 
-  // Fan the missed queries out; each worker writes a disjoint set of
-  // result.plans slots, sharing nothing but the const snapshot. The
-  // futures' wait/get below both joins a shard and publishes its writes
-  // (happens-before) back to this thread.
+  core::PreparedQuery* plans = result.plans.data();
   const size_t max_shards =
       pool_ != nullptr ? static_cast<size_t>(pool_->size()) : 1;
   const size_t shards = std::min(max_shards, misses);
-  core::PreparedQuery* plans = result.plans.data();
-  if (shards <= 1) {
-    result.shards = 1;
+  if (router_ != nullptr &&
+      epoch.snapshot->support.size() > convex::SupportObjective::kChunk) {
+    // Within-solve axis: misses in order on this (writer) thread, each
+    // sweep's chunks fanned out by the router.
+    const ChunkRunner runner = router_->AsRunner();
+    for (size_t slot : miss_slots) {
+      plans[slot] =
+          cm_->Prepare(queries[positions[slot]], *epoch.snapshot, &runner);
+    }
+  } else if (shards <= 1) {
     PrepareShard(queries, positions, miss_slots, 0, misses, epoch, plans);
   } else {
+    // Across-query axis: each worker writes a disjoint set of
+    // result.plans slots, sharing nothing but the const snapshot. The
+    // futures' wait/get below both joins a shard and publishes its
+    // writes (happens-before) back to this thread.
     const size_t chunk = (misses + shards - 1) / shards;
     std::vector<std::future<void>> pending;
     pending.reserve(shards);
@@ -134,8 +143,6 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
       for (std::future<void>& f : pending) f.wait();
       throw;
     }
-    // Ceil-division chunking can finish early, so count what actually ran.
-    result.shards = static_cast<int>(pending.size());
     // Join every shard unconditionally before get() may rethrow a task
     // exception: unwinding with shards in flight would free the buffers
     // they write.

@@ -1,24 +1,36 @@
-// Shards a query batch across thread-pool workers and prepares every
-// query against one immutable epoch snapshot.
+// Prepares a query batch against one immutable epoch snapshot, spreading
+// the work over the thread pool along one of two axes.
 //
 // Why this is safe to parallelize: PmwCm::Prepare is const, deterministic,
 // and draws no randomness — each plan is a pure function of (query,
-// snapshot). Sharding therefore cannot change any plan's value, only the
-// wall-clock to compute them; the single-writer commit loop that consumes
-// the plans (serve::PmwService) replays the mechanism's stateful part
-// (sparse-vector draws, oracle calls, MW updates, ledger appends) in
+// snapshot). Parallelism therefore cannot change any plan's value, only
+// the wall-clock to compute them; the single-writer commit loop that
+// consumes the plans (serve::PmwService) replays the mechanism's stateful
+// part (sparse-vector draws, oracle calls, MW updates, ledger appends) in
 // canonical arrival order, which is what makes the parallel transcript
 // bit-identical to the sequential one.
 //
-// Dedup happens *before* sharding: one cheap pointer-identity pass over
-// the range collects the distinct queries (PR 1's batch cache, hoisted),
-// the distinct set is sharded contiguously across workers, and each
-// plan is scattered back to every position that asked for it. Cycling
-// workloads — many clients asking overlapping questions — therefore
-// amortize identically at every thread count, and workers never compute
-// the same plan twice regardless of how repeats straddle shards. The same
-// QueryKey then keys the cross-batch PlanCache, so a repeat in a later
-// batch skips the solver too.
+// Dedup happens first: one cheap pointer-identity pass over the range
+// collects the distinct queries, the cross-batch PlanCache answers the
+// ones it holds, and each plan is scattered back to every position that
+// asked for it. Cycling workloads therefore amortize identically at every
+// thread count, and no plan is ever computed twice in one range.
+//
+// The parallel axis is chosen by the snapshot's support size:
+//   * Across queries (support of at most one SupportObjective::kChunk
+//     entries). The distinct misses are split contiguously across the
+//     pool's workers, one Prepare per query per worker. Small universes
+//     have cheap sweeps and many distinct queries per batch, so this is
+//     the only axis with work to spread.
+//   * Within each solve (support larger than one chunk). The misses are
+//     prepared one at a time on the calling writer, and each Prepare gets
+//     the ShardRouter, which fans the fixed chunks of every objective
+//     sweep across the pool. At |X| = 2^20 a batch holds one to three
+//     distinct misses on a 4-thread pool — after a hard round often just
+//     one — so the across-query axis would leave cores idle while one
+//     O(|X|) solve runs. Nesting the two axes measured slower than this.
+// Both axes give the same plans bit for bit: the chunk rule is fixed by
+// the support, not by who runs the chunks.
 
 #ifndef PMWCM_SERVE_SHARD_EXECUTOR_H_
 #define PMWCM_SERVE_SHARD_EXECUTOR_H_
@@ -31,8 +43,10 @@
 
 #include "common/thread_pool.h"
 #include "convex/cm_query.h"
+#include "convex/empirical_loss.h"
 #include "core/pmw_cm.h"
 #include "serve/epoch_state.h"
+#include "serve/shard_router.h"
 
 namespace pmw {
 namespace serve {
@@ -116,9 +130,12 @@ class PlanCache {
 class ShardExecutor {
  public:
   /// `pool` may be null: every range then runs inline on the caller's
-  /// thread as a single shard (the sequential service configuration).
-  /// `cm` must outlive the executor.
-  ShardExecutor(ThreadPool* pool, const core::PmwCm* cm);
+  /// thread (the sequential service configuration). `router` (may be
+  /// null) fans the chunks of each solve out when the support is larger
+  /// than one chunk; without it every range uses the across-query axis.
+  /// `cm` and `router` must outlive the executor.
+  ShardExecutor(ThreadPool* pool, const core::PmwCm* cm,
+                ShardRouter* router = nullptr);
 
   struct PrepareResult {
     /// One plan per *distinct* query in the range, in first-appearance
@@ -140,15 +157,14 @@ class ShardExecutor {
     /// Distinct queries served from the cross-batch cache instead of
     /// being recomputed.
     long long cross_batch_hits = 0;
-    /// Shards actually dispatched for this range.
-    int shards = 0;
   };
 
-  /// Prepares queries[begin, end) against `epoch`'s snapshot, fanning the
-  /// distinct queries out across the pool. Blocks until every shard
-  /// finishes. A non-null `cache` is probed per distinct query before any
-  /// solver runs (hits skip computation entirely) and fed every fresh
-  /// plan after the shards join — both on the calling thread.
+  /// Prepares queries[begin, end) against `epoch`'s snapshot, along the
+  /// axis the file comment describes. Blocks until every plan is ready.
+  /// A non-null `cache` is probed per distinct query before any solver
+  /// runs (hits skip computation entirely) and fed every fresh plan after
+  /// the work joins — both on the calling thread, which must be the
+  /// serving writer (the router's contract).
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
                              size_t begin, size_t end, const Epoch& epoch,
                              PlanCache* cache = nullptr) const;
@@ -166,6 +182,7 @@ class ShardExecutor {
 
   ThreadPool* pool_;
   const core::PmwCm* cm_;
+  ShardRouter* router_;
 };
 
 }  // namespace serve

@@ -1,5 +1,6 @@
 #include "serve/shard_router.h"
 
+#include <algorithm>
 #include <future>
 #include <vector>
 
@@ -32,35 +33,48 @@ void ShardRouter::Run(int num_shards,
     window_us_[static_cast<size_t>(s)] +=
         static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
   };
-  if (pool_ == nullptr || num_shards <= 1) {
-    for (int s = 0; s < num_shards; ++s) run_shard(s);
+  // At most one task per pool worker: indices are grouped into `groups`
+  // contiguous runs, so a 32-chunk objective sweep costs 3 submissions on
+  // a 4-thread pool, not 31. With num_shards <= pool size every group is
+  // one index — the per-shard MW path.
+  const int groups =
+      pool_ == nullptr ? 1 : std::min(num_shards, pool_->size());
+  const auto run_group = [&run_shard, num_shards, groups](int g) {
+    const int lo = static_cast<int>(static_cast<long long>(num_shards) * g /
+                                    groups);
+    const int hi = static_cast<int>(static_cast<long long>(num_shards) *
+                                    (g + 1) / groups);
+    for (int s = lo; s < hi; ++s) run_shard(s);
+  };
+  if (groups <= 1) {
+    run_group(0);
     return;
   }
   ++sections_;
   std::vector<std::future<void>> pending;
-  pending.reserve(static_cast<size_t>(num_shards) - 1);
+  pending.reserve(static_cast<size_t>(groups) - 1);
   try {
-    // Shards 1..K-1 go to workers; shard 0 runs on the writer, which
+    // Groups 1..G-1 go to workers; group 0 runs on the writer, which
     // would otherwise just block on the join.
-    for (int s = 1; s < num_shards; ++s) {
-      pending.push_back(pool_->Submit([&run_shard, s] { run_shard(s); }));
+    for (int g = 1; g < groups; ++g) {
+      pending.push_back(pool_->Submit([&run_group, g] { run_group(g); }));
     }
   } catch (...) {
-    // Submit threw (pool shutdown / allocation): in-flight shards still
+    // Submit threw (pool shutdown / allocation): in-flight groups still
     // reference the caller's frame — join them before unwinding.
     for (std::future<void>& f : pending) f.wait();
     throw;
   }
   shard_tasks_ += static_cast<long long>(pending.size());
   try {
-    run_shard(0);
+    run_group(0);
   } catch (...) {
-    // Shard 0 threw on the writer: the worker shards still reference the
+    // Group 0 threw on the writer: the worker groups still reference the
     // caller's frame — join them before unwinding.
     for (std::future<void>& f : pending) f.wait();
     throw;
   }
-  // Join every shard before get() may rethrow: unwinding with shards in
+  // Join every group before get() may rethrow: unwinding with groups in
   // flight would free the state they write.
   for (std::future<void>& f : pending) f.wait();
   for (std::future<void>& f : pending) f.get();

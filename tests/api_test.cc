@@ -34,6 +34,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -587,6 +588,68 @@ TEST_F(ApiTest, SocketServerAnswersMalformedFramesWithTypedEnvelopes) {
   // The two healthy calls are the only mechanism traffic; each malformed
   // frame cost one decode error and zero privacy.
   EXPECT_EQ(endpoint.service().mechanism().queries_answered(), 2);
+  EXPECT_EQ(endpoint.codec_counters().decode_errors->Value(), 2);
+}
+
+TEST_F(ApiTest, UndecodableFramesResolveEveryCallOfTheFramePromptly) {
+  // The server answers a frame it cannot decode with ONE id-0 envelope.
+  // Replies come back in frame order and id 0 is reserved, so the client
+  // owes that reply to every pending call of its oldest in-flight frame
+  // (socket_transport.h) — none of them may wait for Close().
+  erm::NoisyGradientOracle oracle;
+  ServerEndpoint endpoint(dataset_.get(), &oracle, &catalog_,
+                          DefaultServerOptions(), 10);
+  const std::string path =
+      "/tmp/pmw_api_undecodable_" + std::to_string(::getpid()) + ".sock";
+  SocketServer server(&endpoint, path);
+  ASSERT_TRUE(server.Start().ok());
+  SocketTransport transport(path);
+  ASSERT_TRUE(transport.status().ok());
+
+  QueryRequest alien;
+  alien.version = 99;
+  alien.analyst_id = "prober";
+  alien.request_id = 500;
+  alien.query_names = {names_[0], names_[1], names_[2]};
+  std::vector<std::future<AnswerEnvelope>> batch = transport.SendBatch(alien);
+  ASSERT_EQ(batch.size(), 3u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch[i].wait_for(std::chrono::seconds(1)),
+              std::future_status::ready)
+        << "batched call " << i << " hung";
+    const AnswerEnvelope reply = batch[i].get();
+    EXPECT_EQ(reply.error, ErrorCode::kVersionMismatch) << i;
+    EXPECT_EQ(reply.request_id, 500 + i);
+  }
+
+  QueryRequest single;
+  single.version = 99;
+  single.analyst_id = "prober";
+  single.request_id = 600;
+  single.query_name = names_[0];
+  std::future<AnswerEnvelope> one = transport.Send(single);
+  ASSERT_EQ(one.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+      << "single call hung";
+  const AnswerEnvelope single_reply = one.get();
+  EXPECT_EQ(single_reply.error, ErrorCode::kVersionMismatch);
+  EXPECT_EQ(single_reply.request_id, 600u);
+
+  // The connection keeps serving well-formed requests.
+  Client client(&transport, "prober");
+  const AnswerEnvelope healthy = client.Call(names_[3]);
+  EXPECT_TRUE(healthy.ok()) << healthy.message;
+
+  // Id 0 could be mistaken for an undecodable-frame reply: refused unsent.
+  QueryRequest zero;
+  zero.analyst_id = "prober";
+  zero.request_id = 0;
+  zero.query_name = names_[0];
+  EXPECT_EQ(transport.Send(zero).get().error, ErrorCode::kTransportError);
+
+  transport.Close();
+  server.Shutdown();
+  endpoint.Shutdown();
+  EXPECT_EQ(endpoint.service().mechanism().queries_answered(), 1);
   EXPECT_EQ(endpoint.codec_counters().decode_errors->Value(), 2);
 }
 

@@ -1,9 +1,21 @@
 // Unit tests for the convex substrate: vector ops, domains/projections,
-// empirical objectives, and all four solvers against known optima.
+// empirical objectives (including the chunked support reduction under
+// thread-pool runners — the TSan CI job runs this binary), and all four
+// solvers against known optima.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <future>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/chunk_runner.h"
 #include "common/random.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 #include "convex/auto_solver.h"
 #include "convex/domain.h"
 #include "convex/empirical_loss.h"
@@ -14,6 +26,9 @@
 #include "convex/vector_ops.h"
 #include "data/binary_universe.h"
 #include "gtest/gtest.h"
+#include "losses/margin_losses.h"
+#include "losses/transforms.h"
+#include "serve/shard_router.h"
 
 namespace pmw {
 namespace convex {
@@ -315,35 +330,123 @@ class RecordQuadraticLoss : public LossFunction {
   int dim_;
 };
 
-TEST(SupportObjectiveTest, BitIdenticalToHistogramObjective) {
-  // The serving layer relies on SupportObjective(CompactSupport(h)) and
-  // HistogramObjective(h) agreeing exactly — same terms, same order —
-  // so a batched transcript is indistinguishable from a sequential one.
-  data::HypercubeUniverse universe(3);
-  RecordQuadraticLoss loss(3);
-  // A histogram with zero-mass rows (indices 2 and 5 absent).
-  data::Dataset dataset(&universe, {0, 0, 1, 3, 4, 6, 7, 7, 7});
-  data::Histogram histogram = data::Histogram::FromDataset(dataset);
-  data::HistogramSupport support = histogram.CompactSupport();
-  ASSERT_LT(support.size(), static_cast<size_t>(universe.size()));
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
 
-  HistogramObjective dense(&loss, &universe, &histogram);
-  SupportObjective compact(&loss, &universe, &support);
-  EXPECT_EQ(compact.dim(), dense.dim());
+/// A ChunkRunner that submits every chunk as its own pool task and joins
+/// them all: the most scattered schedule a runner may produce.
+ChunkRunner PoolRunner(ThreadPool* pool) {
+  return [pool](int n, const std::function<void(int)>& fn) {
+    std::vector<std::future<void>> pending;
+    for (int i = 0; i < n; ++i) {
+      pending.push_back(pool->Submit([&fn, i] { fn(i); }));
+    }
+    for (std::future<void>& f : pending) f.get();
+  };
+}
 
-  Rng rng(424242);
-  for (int trial = 0; trial < 20; ++trial) {
-    Vec theta = {rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0),
-                 rng.Uniform(-2.0, 2.0)};
-    // Exact equality, not near-equality: identical arithmetic.
-    EXPECT_EQ(compact.Value(theta), dense.Value(theta));
-    Vec dense_grad = dense.Gradient(theta);
-    Vec compact_grad = compact.Gradient(theta);
-    ASSERT_EQ(compact_grad.size(), dense_grad.size());
-    for (size_t i = 0; i < dense_grad.size(); ++i) {
-      EXPECT_EQ(compact_grad[i], dense_grad[i]);
+TEST(SupportObjectiveTest, ChunkedSweepsAreIndependentOfTheRunner) {
+  // The reduction rule (empirical_loss.h): fixed chunks of kChunk entries,
+  // each folded from zero, partials combined in chunk order. Whatever runs
+  // the chunks — nobody, a pool of 1, 2 or 4 threads, the serving router
+  // — and with SIMD on or off, Value and Gradient must give the same
+  // bits; at one chunk or less they must be the plain serial fold.
+  constexpr size_t kChunk = SupportObjective::kChunk;
+  const data::LabeledHypercubeUniverse universe(17);  // |X| = 2^18
+  const int dim = universe.dim();
+  Rng rng(515);
+  const size_t max_entries = 4 * kChunk + 17;
+  ASSERT_LE(max_entries, static_cast<size_t>(universe.size()));
+  data::HistogramSupport entries;
+  for (size_t e = 0; e < max_entries; ++e) {
+    // Every index at most once, skipping some, as a compacted support is.
+    const int index = static_cast<int>(e + e / 7);
+    if (index >= universe.size()) break;
+    entries.emplace_back(index, rng.Uniform(0.0, 1.0) / kChunk);
+  }
+  ASSERT_GE(entries.size(), max_entries);
+  Vec theta;
+  for (int j = 0; j < dim; ++j) theta.push_back(rng.Uniform(-0.3, 0.3));
+
+  std::vector<int> flips;
+  for (int j = 0; j < dim; ++j) flips.push_back(j % 3 == 0 ? -1 : 1);
+  const losses::LogisticLoss logistic(dim);
+  const losses::HingeLoss hinge(dim);
+  const losses::SignFlipLoss flipped_logistic(&logistic, flips, -1);
+  const losses::SignFlipLoss flipped_hinge(&hinge, flips, 1);
+  // Declines the batch path, so the per-row fallback is chunked too.
+  const RecordQuadraticLoss row_loop(dim);
+  const std::pair<const char*, const LossFunction*> losses[] = {
+      {"logistic", &logistic},
+      {"hinge", &hinge},
+      {"flipped-logistic", &flipped_logistic},
+      {"flipped-hinge", &flipped_hinge},
+      {"row-loop", &row_loop}};
+
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  const ChunkRunner runners[] = {PoolRunner(&pool1), PoolRunner(&pool2),
+                                 PoolRunner(&pool4)};
+  serve::ShardRouter router(&pool4);
+  const ChunkRunner routed = router.AsRunner();
+
+  const bool simd_before = simd::Enabled();
+  for (const bool simd_on : {false, true}) {
+    if (simd_on && !simd::Available()) continue;
+    simd::SetEnabled(simd_on);
+    for (const size_t size :
+         {kChunk - 1, kChunk, kChunk + 1, 4 * kChunk + 17}) {
+      const data::HistogramSupport support(entries.begin(),
+                                           entries.begin() + size);
+      for (const auto& [name, loss] : losses) {
+        const std::string where = std::string(name) + " size=" +
+                                  std::to_string(size) +
+                                  (simd_on ? " simd=on" : " simd=off");
+        // The rule, spelled out: chunk partials from zero, combined in
+        // chunk order. At one chunk this is the plain serial fold.
+        double want = 0.0;
+        Vec want_grad = Zeros(dim);
+        for (size_t lo = 0; lo < size; lo += kChunk) {
+          const size_t hi = std::min(lo + kChunk, size);
+          double part = 0.0;
+          Vec part_grad = Zeros(dim);
+          for (size_t e = lo; e < hi; ++e) {
+            const data::Row row = universe.row(support[e].first);
+            part += support[e].second * loss->Value(theta, row);
+            loss->AddGradient(theta, row, support[e].second, &part_grad);
+          }
+          want = lo == 0 ? part : want + part;
+          for (int j = 0; j < dim; ++j) {
+            want_grad[j] =
+                lo == 0 ? part_grad[j] : want_grad[j] + part_grad[j];
+          }
+        }
+
+        const SupportObjective inline_objective(loss, &universe, &support);
+        EXPECT_EQ(Bits(inline_objective.Value(theta)), Bits(want)) << where;
+        const Vec inline_grad = inline_objective.Gradient(theta);
+        for (int j = 0; j < dim; ++j) {
+          EXPECT_EQ(Bits(inline_grad[j]), Bits(want_grad[j]))
+              << where << " coord " << j;
+        }
+        std::vector<const ChunkRunner*> all = {&routed};
+        for (const ChunkRunner& runner : runners) all.push_back(&runner);
+        for (size_t r = 0; r < all.size(); ++r) {
+          const SupportObjective objective(loss, &universe, &support, all[r]);
+          EXPECT_EQ(Bits(objective.Value(theta)), Bits(want))
+              << where << " runner " << r;
+          const Vec grad = objective.Gradient(theta);
+          for (int j = 0; j < dim; ++j) {
+            EXPECT_EQ(Bits(grad[j]), Bits(want_grad[j]))
+                << where << " runner " << r << " coord " << j;
+          }
+        }
+      }
     }
   }
+  simd::SetEnabled(simd_before);
 }
 
 // Property sweep: all three multi-dim solvers agree on random quadratics

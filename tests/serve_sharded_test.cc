@@ -10,8 +10,9 @@
 // bit-identical to running sequential PmwCm under the same seed. These
 // tests check that property-style over random datasets, shards {1, 2, 4}
 // x threads {1, 4} x batch sizes, with the randomized private oracle in
-// the loop; the TSan CI job rebuilds this binary to keep the data-race
-// side of the argument honest.
+// the loop, plus one universe of two SupportObjective chunks (|X| = 2^16)
+// so the within-solve chunk fan-out runs too; the TSan CI job rebuilds
+// this binary to keep the data-race side of the argument honest.
 
 #include <atomic>
 #include <cstddef>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "convex/empirical_loss.h"
 #include "core/pmw_cm.h"
 #include "data/binary_universe.h"
 #include "data/generators.h"
@@ -377,6 +379,88 @@ TEST(ServeShardedTest, RouterFansMwUpdateWorkAcrossThePool) {
   EXPECT_EQ(stitched, epoch->snapshot->support.size());
   EXPECT_EQ(epoch->shard_fingerprint,
             service.mechanism().shard_fingerprint());
+}
+
+TEST(ServeShardedTest, TranscriptMatchesSequentialAboveOneChunk) {
+  // |X| = 2^16 is two SupportObjective chunks, so the executor switches
+  // axis: each batch's cache misses are prepared in order on the writer
+  // and every objective sweep's chunks fan out over the pool through the
+  // router (shard_executor.h). Answers, hard-round flags and the ledger
+  // must still equal sequential PmwCm bit for bit.
+  constexpr int kDim = 15;
+  data::LabeledHypercubeUniverse universe(kDim);
+  ASSERT_GT(static_cast<size_t>(universe.size()),
+            convex::SupportObjective::kChunk);
+  std::vector<double> theta_star, biases;
+  for (int j = 0; j < kDim; ++j) {
+    theta_star.push_back(j % 2 == 0 ? 0.8 : -0.8);
+    biases.push_back(0.5);
+  }
+  data::Histogram dist =
+      data::LogisticModelDistribution(universe, theta_star, biases, 0.3);
+  data::Dataset dataset = data::RoundedDataset(universe, dist, 2000);
+  losses::LipschitzFamily family(kDim);
+  Rng rng(15);
+  std::vector<convex::CmQuery> pool = family.Generate(4, &rng);
+  std::vector<convex::CmQuery> workload;
+  for (int j = 0; j < 12; ++j) {
+    workload.push_back(pool[static_cast<size_t>(j) % pool.size()]);
+  }
+  core::PmwOptions options = PracticalOptions();
+  options.solver.max_iters = 4;  // a few full sweeps per solve suffice
+  constexpr uint64_t kSeed = 1515;
+
+  erm::NoisyGradientOracle sequential_oracle;
+  core::PmwCm sequential(&dataset, &sequential_oracle, options, kSeed);
+  std::vector<Result<core::PmwAnswer>> want;
+  for (const convex::CmQuery& query : workload) {
+    want.push_back(sequential.AnswerQuery(query));
+  }
+  ASSERT_GT(sequential.update_count(), 0) << "no hard round above a chunk";
+
+  for (int threads : {1, 4}) {
+    for (int shards : {1, 4}) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+      erm::NoisyGradientOracle oracle;
+      ServeOptions serve_options;
+      serve_options.num_threads = threads;
+      serve_options.num_shards = shards;
+      PmwService service(&dataset, &oracle, options, kSeed, serve_options);
+      std::vector<QueryOutcome> outcomes;
+      size_t j = 0;
+      for (size_t start = 0; start < workload.size(); start += 5) {
+        const size_t count = std::min<size_t>(5, workload.size() - start);
+        std::vector<Result<convex::Vec>> results = service.AnswerBatch(
+            std::span<const convex::CmQuery>(&workload[start], count), {},
+            &outcomes);
+        for (size_t i = 0; i < count; ++i, ++j) {
+          ASSERT_EQ(results[i].ok(), want[j].ok()) << where << " query " << j;
+          if (!want[j].ok()) continue;
+          EXPECT_EQ(outcomes[i].hard_round, want[j].value().was_update)
+              << where << " query " << j;
+          const convex::Vec& w = want[j].value().theta;
+          const convex::Vec& g = results[i].value();
+          ASSERT_EQ(g.size(), w.size()) << where;
+          for (size_t c = 0; c < w.size(); ++c) {
+            EXPECT_EQ(g[c], w[c])
+                << where << " query " << j << " coordinate " << c;
+          }
+        }
+      }
+      EXPECT_EQ(service.mechanism().ledger().Report(),
+                sequential.ledger().Report())
+          << where;
+      EXPECT_EQ(service.mechanism().update_count(),
+                sequential.update_count())
+          << where;
+      if (threads > 1 && shards == 1) {
+        // With one shard the MW path never fans out, so every routed
+        // section is a multi-chunk objective sweep.
+        EXPECT_GT(service.router().sections(), 0) << where;
+      }
+    }
+  }
 }
 
 }  // namespace
